@@ -28,9 +28,8 @@ from repro import BombDroid, BombDroidConfig, build_named_app, repackage
 from repro.attacks import AdaptiveStripperAttack, DeletionAttack
 from repro.core.config import DetectionMethod, ResponseKind
 from repro.crypto import RSAKeyPair
-from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.vm import DevicePopulation, Runtime
+from repro.vm import DevicePopulation, PlaySession
 
 BENCH_OUT = "BENCH_mesh_resilience.json"
 MESH_APPS = ("SWJournal", "AndroFish", "Hash Droid")
@@ -53,22 +52,12 @@ def _config(mesh: bool) -> BombDroidConfig:
 
 
 def _cost(apk, seed: int) -> int:
-    runtime = Runtime(
-        apk.dex(),
-        device=DevicePopulation(seed=seed).sample(),
-        package=apk.install_view(),
-        seed=seed,
+    session = PlaySession(
+        apk.dex(), DevicePopulation(seed=seed).sample(),
+        package=apk.install_view(), seed=seed,
     )
-    try:
-        runtime.boot()
-    except VMError:
-        pass
-    for event in DynodroidGenerator(apk.dex(), seed=seed).stream(COST_EVENTS):
-        try:
-            runtime.dispatch(event)
-        except VMError:
-            pass
-    return runtime.cost_units
+    events = DynodroidGenerator(apk.dex(), seed=seed).stream(COST_EVENTS)
+    return session.play(events).cost
 
 
 def test_mesh_resilience(benchmark):

@@ -30,9 +30,9 @@ def test_zero_false_positives(benchmark, protections, named_app_names):
                 (
                     name,
                     result.events_played,
-                    len(result.bombs_inner_met),
-                    len(result.bombs_detected),
-                    len(result.bombs_responded),
+                    len(result.bombs.bombs_with("inner_met")),
+                    len(result.bombs.bombs_with("detected")),
+                    len(result.bombs.bombs_with("responded")),
                 )
             )
         return outcomes

@@ -15,33 +15,22 @@ Includes the hot-method-exclusion ablation the paper's design implies.
 from conftest import PROFILING_EVENTS, SCALE, print_table
 
 from repro import BombDroid, BombDroidConfig
-from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.vm import ContainmentPolicy, DevicePopulation, Runtime
+from repro.vm import ContainmentPolicy, DevicePopulation, PlayOutcome, PlaySession
 
 EVENTS = max(800, int(3000 * SCALE))
 
 
-def _run_session(apk, seed: int, containment=None) -> Runtime:
-    device = DevicePopulation(seed=seed).sample()
-    runtime = Runtime(
-        apk.dex(), device=device, package=apk.install_view(), seed=seed,
-        containment=containment,
+def _run_session(apk, seed: int, containment=None) -> PlayOutcome:
+    session = PlaySession(
+        apk.dex(), DevicePopulation(seed=seed).sample(),
+        package=apk.install_view(), seed=seed, containment=containment,
     )
-    try:
-        runtime.boot()
-    except VMError:
-        pass
-    for event in DynodroidGenerator(apk.dex(), seed=seed).stream(EVENTS):
-        try:
-            runtime.dispatch(event)
-        except VMError:
-            pass
-    return runtime
+    return session.play(DynodroidGenerator(apk.dex(), seed=seed).stream(EVENTS))
 
 
 def _cost_of(apk, seed: int) -> int:
-    return _run_session(apk, seed).cost_units
+    return _run_session(apk, seed).cost
 
 
 def test_table5(benchmark, bundles, protections, named_app_names):
@@ -89,14 +78,12 @@ def test_table5_containment_overhead(benchmark, protections, named_app_names):
             contained = _run_session(
                 protected, seed=70 + index, containment=ContainmentPolicy()
             )
-            delta = (contained.cost_units - plain.cost_units) / plain.cost_units
-            rows.append(
-                (name, plain.cost_units, contained.cost_units, f"{delta:+.2%}")
-            )
+            delta = (contained.cost - plain.cost) / plain.cost
+            rows.append((name, plain.cost, contained.cost, f"{delta:+.2%}"))
             assert abs(delta) < 0.05, f"{name}: containment overhead {delta:+.2%}"
             # Fault-free containment is semantically invisible: same
             # trigger/detection numbers, same observable output.
-            assert contained.bombs.counts == plain.bombs.counts
+            assert contained.bomb_counts == plain.bomb_counts
             assert contained.detections == plain.detections
             assert contained.logs == plain.logs
             assert contained.ui_effects == plain.ui_effects

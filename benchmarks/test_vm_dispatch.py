@@ -26,9 +26,8 @@ import pytest
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import build_app
 from repro.dex import assemble
-from repro.errors import MethodNotFound, VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.vm import Runtime
+from repro.vm import PlaySession, Runtime
 from repro.vm.device import DevicePopulation
 
 from conftest import SCALE, print_table
@@ -93,32 +92,20 @@ def _play_sessions(apk, engine: str, seed: int):
     started = time.perf_counter()
     for index in range(SESSIONS_PER_APP):
         session_seed = seed * 100 + index
-        runtime = Runtime(
-            dex, device=population.sample(), package=package,
-            seed=session_seed, engine=engine,
+        session = PlaySession(
+            dex, population.sample(), package=package, seed=session_seed,
+            engine=engine,
         )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        instructions = 0
-        for event in DynodroidGenerator(dex, seed=session_seed).stream(
-            SESSION_EVENTS
-        ):
-            ctx = runtime.session()
-            try:
-                ctx.dispatch(event)
-            except (MethodNotFound, VMError):
-                pass
-            finally:
-                instructions += ctx.consumed
+        outcome = session.play(
+            DynodroidGenerator(dex, seed=session_seed).stream(SESSION_EVENTS)
+        )
         per_session.append({
-            "instructions": instructions,
-            "cost_units": runtime.cost_units,
-            "detections": tuple(runtime.detections),
-            "reports": tuple(runtime.reports),
-            "bomb_counts": {k: dict(v) for k, v in runtime.bombs.counts.items()},
-            "statics": {k: repr(v) for k, v in runtime.statics.items()},
+            "instructions": outcome.instructions,
+            "cost_units": outcome.cost,
+            "detections": outcome.detections,
+            "reports": outcome.reports,
+            "bomb_counts": outcome.bomb_counts,
+            "statics": {k: repr(v) for k, v in session.runtime.statics.items()},
         })
     elapsed = time.perf_counter() - started
     return per_session, elapsed

@@ -12,7 +12,7 @@ from repro.apk import Resources, build_apk
 from repro.core import BombDroid, BombDroidConfig
 from repro.crypto import RSAKeyPair
 from repro.dex import assemble, disassemble
-from repro.vm import Runtime
+from repro.vm import DevicePopulation, PlaySession
 from repro.vm.events import Event, EventKind
 
 APP_SOURCE = """
@@ -90,11 +90,16 @@ def main() -> None:
           f'{chr(34) + "0451" + chr(34) in listing}')
 
     # And it still works.
-    runtime = Runtime(protected.dex(), package=protected.install_view(), seed=1)
-    runtime.boot()
-    runtime.dispatch(Event(EventKind.TEXT, "Vault", ("0451",)))
-    runtime.dispatch(Event(EventKind.MENU, "Vault", (7,)))
-    print(f"balance after PIN + withdraw: {runtime.statics['Vault.balance']} (expect 900)")
+    session = PlaySession(
+        protected.dex(), DevicePopulation(seed=1).sample(),
+        package=protected.install_view(), seed=1,
+    )
+    session.play([
+        Event(EventKind.TEXT, "Vault", ("0451",)),
+        Event(EventKind.MENU, "Vault", (7,)),
+    ])
+    print(f"balance after PIN + withdraw: {session.runtime.statics['Vault.balance']} "
+          "(expect 900)")
 
 
 if __name__ == "__main__":

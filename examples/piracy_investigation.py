@@ -14,11 +14,10 @@ Run:  python examples/piracy_investigation.py
 from repro import BombDroid, BombDroidConfig, build_named_app, repackage
 from repro.core.config import DetectionMethod, ResponseKind
 from repro.crypto import RSAKeyPair
-from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
 from repro.repack import RepackOptions
 from repro.userside import AggregatedVerdict, DetectionAggregator
-from repro.vm import DevicePopulation, Runtime
+from repro.vm import DevicePopulation, PlaySession
 
 
 def main() -> None:
@@ -50,22 +49,11 @@ def main() -> None:
     sessions = 0
     for index in range(16):
         pirated = pirated_a if index % 3 else pirated_b
-        runtime = Runtime(
-            pirated.dex(),
-            device=population.sample(),
-            package=pirated.install_view(),
-            seed=index,
-        )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(pirated.dex(), seed=index).stream(700):
-            try:
-                runtime.dispatch(event)
-            except VMError:
-                pass
-        aggregator.ingest_session(runtime)
+        outcome = PlaySession(
+            pirated.dex(), population.sample(),
+            package=pirated.install_view(), seed=index,
+        ).play(DynodroidGenerator(pirated.dex(), seed=index).stream(700))
+        aggregator.ingest_session(outcome)
         sessions += 1
 
     print(f"\naggregated {sessions} user sessions:")

@@ -6,9 +6,8 @@ Run:  python examples/quickstart.py
 
 from repro import BombDroid, BombDroidConfig, build_named_app, repackage
 from repro.crypto import RSAKeyPair
-from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.vm import DevicePopulation, Runtime
+from repro.vm import DevicePopulation, PlaySession
 
 
 def main() -> None:
@@ -35,12 +34,12 @@ def main() -> None:
           f"methods ({len(diagnostics)} advisory diagnostics)")
 
     # 3. The protected app behaves exactly like the original for real users.
-    runtime = Runtime(protected.dex(), package=protected.install_view(), seed=7)
-    runtime.boot()
-    for event in DynodroidGenerator(protected.dex(), seed=7).stream(500):
-        runtime.dispatch(event)
-    print(f"genuine install: {len(runtime.detections)} detections "
-          f"(must be 0), app state intact")
+    genuine = PlaySession(
+        protected.dex(), DevicePopulation(seed=7).sample(),
+        package=protected.install_view(), seed=7,
+    ).play(DynodroidGenerator(protected.dex(), seed=7).stream(500))
+    print(f"genuine install: {len(genuine.detections)} detections, "
+          f"{genuine.crashes} crashes (both must be 0)")
 
     # 4. A pirate repackages it: new icon, new author, injected adware,
     #    re-signed with their own key.
@@ -49,27 +48,16 @@ def main() -> None:
     print(f"pirated copy signed by {pirated.cert.fingerprint_hex()[:16]}... "
           f"(original: {protected.cert.fingerprint_hex()[:16]}...)")
 
-    # 5. On user devices, bombs start going off.
+    # 5. On user devices, bombs start going off.  Crash responses look
+    #    like instability to the pirate's "customers".
     population = DevicePopulation(seed=3)
     detected_on = 0
     for index in range(10):
-        user_runtime = Runtime(
-            pirated.dex(),
-            device=population.sample(),
-            package=pirated.install_view(),
-            seed=index,
-        )
-        try:
-            user_runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(pirated.dex(), seed=index).stream(600):
-            try:
-                user_runtime.dispatch(event)
-            except VMError:
-                pass  # crash responses look like instability to the pirate's "customers"
-        if user_runtime.detections:
-            detected_on += 1
+        user = PlaySession(
+            pirated.dex(), population.sample(),
+            package=pirated.install_view(), seed=index,
+        ).play(DynodroidGenerator(pirated.dex(), seed=index).stream(600))
+        detected_on += bool(user.detections)
     print(f"repackaging detected on {detected_on}/10 simulated user devices")
 
 

@@ -18,12 +18,11 @@ from typing import Dict, List, Optional, Set
 
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult
-from repro.errors import VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.fuzzing.session import FuzzSession
 from repro.vm.debugger import Debugger
 from repro.vm.device import DeviceProfile, ENV_DOMAINS, attacker_lab_profiles
-from repro.vm.runtime import Runtime
+from repro.vm.sessions import PlaySession
 
 _TIME_VARS = ("time.hour", "time.dow", "time.minute")
 
@@ -53,23 +52,13 @@ class DebuggerAttack:
         device = attacker_lab_profiles(1, seed=self._seed)[0]
         dex = apk.dex()
         debugger = Debugger().watch_api(*_IDENTITY_APIS)
-        runtime = Runtime(
-            dex, device=device, package=apk.install_view(),
-            seed=self._seed, tracer=debugger,
+        session = PlaySession(
+            dex, device, package=apk.install_view(), seed=self._seed,
+            tracer=debugger,
         )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        generator = DynodroidGenerator(dex, seed=self._seed)
-        start = runtime.device.clock
-        iterator = generator.events()
-        while runtime.device.clock - start < self._session_seconds:
-            event = next(iterator)
-            try:
-                runtime.dispatch(event)
-            except VMError:
-                pass
+        events = DynodroidGenerator(dex, seed=self._seed).events()
+        while session.elapsed < self._session_seconds:
+            session.step(next(events))
 
         shipped_classes = set(dex.classes)
         traced_sources: Set[str] = set()
@@ -145,9 +134,9 @@ class HumanAnalystAttack:
                 package=apk.install_view(),
                 seed=self._seed + session_index,
             )
-            result = session.run_for(self._session_seconds, sample_every=300)
-            outer_satisfied |= result.bombs_outer_satisfied
-            triggered |= result.bombs_inner_met
+            bombs = session.run_for(self._session_seconds, sample_every=300).bombs
+            outer_satisfied |= bombs.bombs_with("outer_satisfied")
+            triggered |= bombs.bombs_with("inner_met")
             elapsed += self._session_seconds
             # Between sessions: mutate a few environment variables.
             self._mutate_environment(device, rng)

@@ -42,10 +42,9 @@ from repro.attacks.signatures import (
 )
 from repro.crypto import RSAKeyPair
 from repro.dex.model import DexFile
-from repro.errors import VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.vm.device import DevicePopulation
-from repro.vm.runtime import Runtime
+from repro.vm.sessions import PlaySession
 
 
 def strip_bombs(
@@ -63,46 +62,26 @@ def differential_test(
 ) -> Tuple[int, int]:
     """Run both apps on one device/event-stream; returns (diverged
     app static fields, crashes only in the stripped app)."""
-    population = DevicePopulation(seed=seed)
-    device_a = population.sample()
+    device_a = DevicePopulation(seed=seed).sample()
     device_b = device_a.copy()
-    runtime_a = Runtime(
-        original.dex(), device=device_a,
-        package=original.install_view(), seed=seed,
+    session_a = PlaySession(
+        original.dex(), device_a, package=original.install_view(), seed=seed
     )
-    runtime_b = Runtime(
-        stripped.dex(), device=device_b,
-        package=stripped.install_view(), seed=seed,
+    session_b = PlaySession(
+        stripped.dex(), device_b, package=stripped.install_view(), seed=seed
     )
-    for runtime in (runtime_a, runtime_b):
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-
-    generator = DynodroidGenerator(original.dex(), seed=seed + 1)
-    divergences = 0
     crashes = 0
-    for event in generator.stream(events):
-        crash_a = crash_b = False
-        try:
-            runtime_a.dispatch(event)
-        except VMError:
-            crash_a = True
-        try:
-            runtime_b.dispatch(event)
-        except VMError:
-            crash_b = True
+    for event in DynodroidGenerator(original.dex(), seed=seed + 1).stream(events):
+        crash_a = session_a.step(event) is not None
+        crash_b = session_b.step(event) is not None
         if crash_b and not crash_a:
             crashes += 1
-    app_fields = {
-        key: value
-        for key, value in runtime_a.statics.items()
-        if not key.startswith("Bomb$")
-    }
-    for key, value in app_fields.items():
-        if runtime_b.statics.get(key) != value:
-            divergences += 1
+    statics_a = session_a.runtime.statics
+    statics_b = session_b.runtime.statics
+    divergences = sum(
+        1 for key, value in statics_a.items()
+        if not key.startswith("Bomb$") and statics_b.get(key) != value
+    )
     return divergences, crashes
 
 
@@ -235,23 +214,12 @@ class AdaptiveStripperAttack:
         mesh_trips = 0
         for session in range(self._sessions):
             seed = self._seed + 100 + session
-            runtime = Runtime(
-                stripped.dex(),
-                device=DevicePopulation(seed=seed).sample(),
-                package=stripped.install_view(),
-                seed=seed,
-            )
-            try:
-                runtime.boot()
-            except VMError:
-                pass
-            for event in DynodroidGenerator(stripped.dex(), seed=seed).stream(
+            outcome = PlaySession(
+                stripped.dex(), DevicePopulation(seed=seed).sample(),
+                package=stripped.install_view(), seed=seed,
+            ).play(DynodroidGenerator(stripped.dex(), seed=seed).stream(
                 self._detection_events
-            ):
-                try:
-                    runtime.dispatch(event)
-                except VMError:
-                    pass
-            detections += len(runtime.detections)
-            mesh_trips += runtime.bombs.count("mesh_tripped")
+            ))
+            detections += len(outcome.detections)
+            mesh_trips += outcome.bombs.count("mesh_tripped")
         return detections, mesh_trips

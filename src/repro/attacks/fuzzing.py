@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Type
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult
 from repro.fuzzing.generators import EventGenerator, GENERATORS
-from repro.fuzzing.session import FuzzSession, SessionResult
+from repro.fuzzing.session import FuzzSession
 from repro.vm.device import DeviceProfile, attacker_lab_profiles
 
 
@@ -73,19 +73,16 @@ class FuzzingAttack:
             package=apk.install_view(),
             seed=self._seed,
         )
-        result = session.run_for(self._duration, sample_every=60.0)
+        outcome = session.run_for(self._duration, sample_every=60.0)
         real = set(real_bomb_ids)
-        curve = [
-            (elapsed, count) for elapsed, count in result.trigger_curve
-        ]
         return FuzzAttackOutcome(
             fuzzer=fuzzer_name,
-            outer_satisfied=len(result.bombs_outer_satisfied & real),
-            fully_triggered=len(result.bombs_inner_met & real),
+            outer_satisfied=len(outcome.bombs.bombs_with("outer_satisfied") & real),
+            fully_triggered=len(outcome.bombs.bombs_with("inner_met") & real),
             total_bombs=len(real),
-            events_played=result.events_played,
-            coverage=result.coverage,
-            trigger_curve=curve,
+            events_played=outcome.events_played,
+            coverage=session.coverage,
+            trigger_curve=session.trigger_curve,
         )
 
     def run_all(

@@ -82,9 +82,9 @@ class VTableHijackAttack:
                 package=spoofed_package,
                 seed=self._seed * 100 + index,
             )
-            result = session.run_for(self._events * Event.DURATION)
-            detections.extend(sorted(result.bombs_detected))
-            mesh_tripped |= result.bombs_mesh_tripped
+            bombs = session.run_for(self._events * Event.DURATION).bombs
+            detections.extend(sorted(bombs.bombs_with("detected")))
+            mesh_tripped |= bombs.bombs_with("mesh_tripped")
 
         by_method: Dict[str, int] = {}
         for bomb_id in detections:

@@ -26,10 +26,9 @@ from repro.crypto import RSAKeyPair
 from repro.dex import instructions as ins
 from repro.dex.model import DexFile
 from repro.dex.opcodes import Op
-from repro.errors import VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.vm.device import attacker_lab_profiles
-from repro.vm.runtime import Runtime
+from repro.vm.sessions import PlaySession
 
 
 def force_rand_deterministic(dex: DexFile) -> int:
@@ -45,22 +44,18 @@ def force_rand_deterministic(dex: DexFile) -> int:
     return patched
 
 
+def _lab_session(apk: Apk, seed: int) -> PlaySession:
+    """The app booted on the attacker's lab device."""
+    device = attacker_lab_profiles(1, seed=seed)[0]
+    return PlaySession(apk.dex(), device, package=apk.install_view(), seed=seed)
+
+
 def log_reflection_targets(apk: Apk, events: int = 400, seed: int = 0) -> List[str]:
     """Run the app in the attacker's lab and collect reflection
     destinations (the check-the-destination trick from Section 1)."""
-    device = attacker_lab_profiles(1, seed=seed)[0]
-    runtime = Runtime(apk.dex(), device=device, package=apk.install_view(), seed=seed)
-    try:
-        runtime.boot()
-    except VMError:
-        pass
-    generator = DynodroidGenerator(apk.dex(), seed=seed + 1)
-    for event in generator.stream(events):
-        try:
-            runtime.dispatch(event)
-        except VMError:
-            pass
-    return sorted(set(runtime.reflection_log))
+    session = _lab_session(apk, seed)
+    session.play(DynodroidGenerator(apk.dex(), seed=seed + 1).stream(events))
+    return sorted(set(session.runtime.reflection_log))
 
 
 def patch_string_constants(dex: DexFile, old: str, new: str) -> int:
@@ -150,17 +145,11 @@ class InstrumentationAttack:
 
     def _detection_fires(self, apk: Apk, events: int = 600) -> bool:
         """Does the (cracked) app still respond to repackaging?"""
-        device = attacker_lab_profiles(1, seed=self._seed)[0]
-        runtime = Runtime(apk.dex(), device=device, package=apk.install_view(), seed=self._seed)
-        try:
-            runtime.boot()
-        except VMError:
+        session = _lab_session(apk, self._seed)
+        if session.errors:
             return True
-        generator = DynodroidGenerator(apk.dex(), seed=self._seed + 2)
-        for event in generator.stream(events):
-            try:
-                runtime.dispatch(event)
-            except VMError as exc:
-                if "SSN" in str(exc):
-                    return True
-        return bool(runtime.detections)
+        for event in DynodroidGenerator(apk.dex(), seed=self._seed + 2).stream(events):
+            error = session.step(event)
+            if error is not None and "SSN" in str(error):
+                return True
+        return bool(session.runtime.detections)

@@ -38,15 +38,14 @@ from repro.chaos.faults import FaultPlan, active_plan
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import build_app
 from repro.crypto import RSAKeyPair, sha1_hex
-from repro.errors import ReproError, TransportError
+from repro.errors import TransportError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.repack import repackage
 from repro.reporting.client import ReportClient
 from repro.reporting.server import ReportServer, SubmitStatus
 from repro.vm.containment import ContainmentPolicy
 from repro.vm.device import DevicePopulation
-from repro.vm.events import Event
-from repro.vm.runtime import Runtime
+from repro.vm.sessions import PlayOutcome, PlaySession
 
 SCENARIOS = ("genuine", "pirated", "hostile")
 
@@ -186,29 +185,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-class _SessionResult:
-    """Accumulated observables of one play session (across restarts)."""
-
-    def __init__(self) -> None:
-        self.logs: List[str] = []
-        self.ui_effects: List[tuple] = []
-        self.reports: List[str] = []
-        self.errors: List[str] = []
-        self.runtime: Optional[Runtime] = None
-
-    def absorb(self, runtime: Runtime) -> None:
-        self.logs.extend(runtime.logs)
-        self.ui_effects.extend(runtime.ui_effects)
-        self.reports.extend(runtime.reports)
-
-    def snapshot(self) -> tuple:
-        return (tuple(self.logs), tuple(self.ui_effects), tuple(self.reports))
-
-    @property
-    def bombs(self):
-        return self.runtime.bombs
-
-
 class ChaosRunner:
     """Owns the app corpus and baselines; runs one trial at a time."""
 
@@ -256,59 +232,40 @@ class ChaosRunner:
             strict=self.config.strict,
         )
 
-    def _play(self, apk, device, containment=None, client=None) -> _SessionResult:
-        """Boot and drive the fixed event script; crashes restart the
-        app (state resets, the bomb history and clock carry over)."""
-        dex = apk.dex()
-        package = apk.install_view()
-        result = _SessionResult()
-
-        def fresh(previous: Optional[Runtime]) -> Runtime:
-            runtime = Runtime(
-                dex, device=device, package=package, seed=self.config.seed,
-                report_client=client, containment=containment,
-            )
-            if previous is not None:
-                runtime.bombs.merge_from(previous.bombs)
-            try:
-                runtime.boot()
-            except ReproError as exc:
-                result.errors.append(type(exc).__name__)
-            except Exception as exc:  # non-taxonomy: invariant material
-                result.errors.append(f"NON_TAXONOMY:{type(exc).__name__}")
-            return runtime
-
-        runtime = fresh(None)
+    def _play(self, apk, device, client=None) -> PlayOutcome:
+        """Boot and drive the fixed event script; crashes reopen the
+        app.  An error outside the library's taxonomy is recorded as
+        invariant material and also reopens the app."""
+        session = PlaySession(
+            apk.dex(), device, package=apk.install_view(),
+            seed=self.config.seed, restart=True,
+            report_client=client, containment=self._policy(),
+        )
         for event in self.events:
             try:
-                runtime.dispatch(event)
-            except ReproError as exc:
-                result.errors.append(type(exc).__name__)
-                result.absorb(runtime)
-                runtime = fresh(runtime)
-            except Exception as exc:
-                result.errors.append(f"NON_TAXONOMY:{type(exc).__name__}")
-                result.absorb(runtime)
-                runtime = fresh(runtime)
-        result.absorb(runtime)
-        result.runtime = runtime
-        return result
+                session.step(event)
+            except Exception as exc:  # non-taxonomy: invariant material
+                session.errors.append(f"NON_TAXONOMY:{type(exc).__name__}")
+                session.reopen()
+        return session.outcome()
+
+    @staticmethod
+    def _snapshot(session: PlayOutcome) -> tuple:
+        return (session.logs, session.ui_effects, session.reports)
 
     def unprotected_snapshot(self) -> tuple:
         if self._unprotected_snapshot is None:
             session = self._play(self.bundle.apk, self._device(0))
-            self._unprotected_snapshot = session.snapshot()
+            self._unprotected_snapshot = self._snapshot(session)
         return self._unprotected_snapshot
 
     def baseline_transparent(self) -> bool:
         """Fault-free transparency: protected == unprotected output."""
-        session = self._play(
-            self.protected, self._device(0), containment=self._policy()
-        )
+        session = self._play(self.protected, self._device(0))
         return (
-            session.snapshot() == self.unprotected_snapshot()
+            self._snapshot(session) == self.unprotected_snapshot()
             and not session.errors
-            and not session.runtime.detections
+            and not session.detections
         )
 
     def pirated_detects_baseline(self, device_index: int) -> bool:
@@ -357,14 +314,12 @@ class ChaosRunner:
     def _trial_genuine(self, trial: int, plan: FaultPlan) -> TrialRecord:
         violations: List[str] = []
         with active_plan(plan):
-            session = self._play(
-                self.protected, self._device(0), containment=self._policy()
-            )
+            session = self._play(self.protected, self._device(0))
         bombs = session.bombs
         payload_errors = bombs.count("payload_error")
         skipped = bombs.count("payload_skipped")
         quarantines = bombs.count("quarantined")
-        degraded = session.snapshot() != self.unprotected_snapshot()
+        degraded = self._snapshot(session) != self.unprotected_snapshot()
 
         prefix = self._prefix(trial, "genuine")
         non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
@@ -395,7 +350,7 @@ class ChaosRunner:
                         f"{prefix} host output changed without a woven "
                         "bomb failure (transparency broken)"
                     )
-        if session.runtime.detections:
+        if session.detections:
             violations.append(f"{prefix} genuine app detected repackaging")
         if bombs.count("mesh_tripped"):
             violations.append(
@@ -415,7 +370,7 @@ class ChaosRunner:
             fault_fires=plan.fires(), fault_log=plan.log_signature(),
             crashes=len(session.errors), errors=tuple(session.errors),
             payload_errors=payload_errors + skipped, quarantines=quarantines,
-            detected=bool(session.runtime.detections), accepted=0,
+            detected=bool(session.detections), accepted=0,
             degraded=degraded, violations=tuple(violations),
         )
 
@@ -443,15 +398,10 @@ class ChaosRunner:
         )
         device = self._device(1 + device_index)
         if plan is None:
-            session = self._play(
-                self.pirated, device, containment=self._policy(), client=client
-            )
+            session = self._play(self.pirated, device, client=client)
         else:
             with active_plan(plan):
-                session = self._play(
-                    self.pirated, device,
-                    containment=self._policy(), client=client,
-                )
+                session = self._play(self.pirated, device, client=client)
                 client.flush()  # exercise spool reads under fault
         return session, server, client, submissions, accepted_signed
 
@@ -509,16 +459,14 @@ class ChaosRunner:
     def _trial_hostile(self, trial: int, plan: FaultPlan) -> TrialRecord:
         violations: List[str] = []
         with active_plan(plan):
-            session = self._play(
-                self.protected, self._device(0), containment=self._policy()
-            )
+            session = self._play(self.protected, self._device(0))
         prefix = self._prefix(trial, "hostile")
         non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
         if non_taxonomy:
             violations.append(
                 f"{prefix} non-taxonomy error escaped the VM: {non_taxonomy}"
             )
-        if session.runtime.detections:
+        if session.detections:
             violations.append(f"{prefix} genuine app detected repackaging")
         if session.bombs.count("mesh_tripped"):
             violations.append(
@@ -531,7 +479,7 @@ class ChaosRunner:
             crashes=len(session.errors), errors=tuple(session.errors),
             payload_errors=session.bombs.count("payload_error"),
             quarantines=session.bombs.count("quarantined"),
-            detected=bool(session.runtime.detections), accepted=0,
+            detected=bool(session.detections), accepted=0,
             degraded=False, violations=tuple(violations),
         )
 

@@ -307,31 +307,17 @@ def _cmd_repackage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.fuzzing import DynodroidGenerator
-    from repro.vm import DevicePopulation, Runtime
+    from repro.vm.sessions import SessionEngine
 
     apk = load_apk(getattr(args, "in"))
-    population = DevicePopulation(seed=args.seed)
-    detected = 0
-    for index in range(args.devices):
-        runtime = Runtime(
-            apk.dex(), device=population.sample(),
-            package=apk.install_view(), seed=index,
-        )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(apk.dex(), seed=index).stream(args.events):
-            try:
-                runtime.dispatch(event)
-            except VMError:
-                pass
-        marker = "DETECTED" if runtime.detections else "quiet"
-        print(f"device {index}: {marker}  "
-              f"(bombs evaluated: {len(runtime.bombs.bombs_with('evaluated'))}, "
-              f"reports: {len(runtime.reports)})")
-        detected += bool(runtime.detections)
+    engine = SessionEngine(apk, seed=args.seed, events=args.events)
+    outcomes = engine.play(args.devices)
+    for outcome in outcomes:
+        marker = "DETECTED" if outcome.detections else "quiet"
+        print(f"device {outcome.index}: {marker}  "
+              f"(bombs evaluated: {len(outcome.bombs.bombs_with('evaluated'))}, "
+              f"reports: {len(outcome.reports)})")
+    detected = sum(1 for outcome in outcomes if outcome.detections)
     print(f"\nrepackaging detected on {detected}/{args.devices} devices")
     return 0
 

@@ -21,7 +21,7 @@ from repro.fuzzing.generators import (
     DynodroidGenerator,
     GENERATORS,
 )
-from repro.fuzzing.session import FuzzSession, SessionResult
+from repro.fuzzing.session import FuzzSession
 
 __all__ = [
     "EventGenerator",
@@ -31,5 +31,4 @@ __all__ = [
     "DynodroidGenerator",
     "GENERATORS",
     "FuzzSession",
-    "SessionResult",
 ]

@@ -8,7 +8,6 @@ market takedown) of Section 4.2.
 """
 
 from repro.userside.simulation import (
-    PlaySession,
     FirstTriggerStats,
     simulate_first_triggers,
     population_trigger_fraction,
@@ -17,7 +16,6 @@ from repro.userside.aggregation import DetectionAggregator, AggregatedVerdict
 from repro.userside.market import Market, Listing, InstallRecord
 
 __all__ = [
-    "PlaySession",
     "FirstTriggerStats",
     "simulate_first_triggers",
     "population_trigger_fraction",

@@ -85,7 +85,8 @@ class DetectionAggregator:
             self._server.process()
 
     def ingest_session(self, runtime) -> None:
-        """Pull reports and synthesize a rating from one user session.
+        """Pull reports and synthesize a rating from one user session
+        (a :class:`~repro.vm.sessions.PlayOutcome` or a bare Runtime).
 
         A session that saw crashes/alerts rates the app 1-2 stars; a
         clean session rates 4-5.  (The paper: "the bad rating of a

@@ -1,7 +1,8 @@
 """User play sessions and the Table 3 experiment.
 
-A :class:`PlaySession` is one user on one sampled device playing the
-(repackaged) app.  ``simulate_first_triggers`` repeats the paper's
+Each user is a :class:`~repro.vm.sessions.PlaySession` on one sampled
+device playing the (repackaged) app, reopening it after every crash.
+``simulate_first_triggers`` repeats the paper's
 Section 8.2 protocol: play until the first bomb *fully* triggers
 (outer + inner conditions), record the elapsed time, fifty runs per
 app with varied device configurations, 60-minute timeout.
@@ -13,78 +14,32 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from repro.apk.package import Apk
-from repro.errors import MethodNotFound, VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.vm.device import DevicePopulation
-from repro.vm.events import Event
-from repro.vm.runtime import Runtime
+from repro.vm.sessions import PlaySession
 
 
-class PlaySession:
-    """One user's session with the app on one device."""
+def _user_session(apk: Apk, device, seed: int) -> PlaySession:
+    """A user who reopens the app after every crash (state resets, the
+    clock does not) -- how Section 8.2's testers measured time."""
+    return PlaySession(
+        apk.dex(), device, package=apk.install_view(), seed=seed, restart=True
+    )
 
-    def __init__(self, apk: Apk, device, seed: int = 0) -> None:
-        self._apk = apk
-        self._device = device
-        self._seed = seed
-        # Parse and install once; restarts reuse both (the DexFile is
-        # immutable under execution, and the system's package snapshot
-        # does not change between process restarts).
-        self._dex = apk.dex()
-        self._package = apk.install_view()
-        self.runtime = Runtime(
-            self._dex, device=device, package=self._package, seed=seed
-        )
-        self._generator = DynodroidGenerator(self._dex, seed=seed)
-        try:
-            self.runtime.boot()
-        except VMError:
-            pass
 
-    def play_until_detection(self, timeout_seconds: float) -> Optional[float]:
-        """Play; return elapsed seconds at the first full bomb trigger
-        (``inner_met``), or None on timeout.
-
-        Users keep using an app that crashed (they reopen it); state
-        resets, the clock does not -- matching how the human testers of
-        Section 8.2 measured wall-clock time to first trigger.
-        """
-        runtime = self.runtime
-        start = runtime.device.clock
-        iterator = self._generator.events()
-        while runtime.device.clock - start < timeout_seconds:
-            event = next(iterator)
-            try:
-                runtime.dispatch(event)
-            except MethodNotFound:
-                runtime.device.advance(Event.DURATION)
-            except VMError:
-                clock = runtime.device.clock
-                detected = runtime.detections
-                if detected:
-                    # The crash *was* the response.
-                    return clock - start
-                self._restart(clock)
-                runtime = self.runtime
-            first = self.runtime.bombs.first_time_of("inner_met")
-            if first is not None:
-                return self.runtime.device.clock - start
-        return None
-
-    def _restart(self, clock: float) -> None:
-        previous_bombs = self.runtime.bombs
-        self.runtime = Runtime(
-            self._dex,
-            device=self._device,
-            package=self._package,
-            seed=self._seed,
-        )
-        # Carry the bomb history across restarts for measurement.
-        self.runtime.bombs.merge_from(previous_bombs)
-        try:
-            self.runtime.boot()
-        except VMError:
-            pass
+def _play_until_detection(
+    session: PlaySession, timeout_seconds: float
+) -> Optional[float]:
+    """Play; return elapsed seconds at the first full bomb trigger
+    (``inner_met``), or None on timeout.  A crash of a process that
+    detected repackaging *was* the response and ends the run."""
+    events = DynodroidGenerator(session.dex, seed=session.seed).events()
+    while session.elapsed < timeout_seconds:
+        if session.step(next(events)) is not None and session.outcome().detections:
+            return session.elapsed
+        if session.runtime.bombs.first_time_of("inner_met") is not None:
+            return session.elapsed
+    return None
 
 
 @dataclass
@@ -127,9 +82,10 @@ def simulate_first_triggers(
     population = DevicePopulation(seed=population_seed)
     stats = FirstTriggerStats(app=app_name)
     for run in range(runs):
-        device = population.sample()
-        session = PlaySession(apk, device, seed=population_seed * 1000 + run)
-        elapsed = session.play_until_detection(timeout_seconds)
+        session = _user_session(
+            apk, population.sample(), seed=population_seed * 1000 + run
+        )
+        elapsed = _play_until_detection(session, timeout_seconds)
         if elapsed is None:
             stats.failures += 1
         else:
@@ -152,19 +108,11 @@ def population_trigger_fraction(
     population = DevicePopulation(seed=population_seed)
     triggered: Set[str] = set()
     for user in range(users):
-        device = population.sample()
-        session = PlaySession(apk, device, seed=population_seed * 7000 + user)
-        runtime = session.runtime
-        start = runtime.device.clock
-        iterator = session._generator.events()
-        while runtime.device.clock - start < session_seconds:
-            event = next(iterator)
-            try:
-                runtime.dispatch(event)
-            except MethodNotFound:
-                runtime.device.advance(Event.DURATION)
-            except VMError:
-                session._restart(runtime.device.clock)
-                runtime = session.runtime
-        triggered |= runtime.bombs.bombs_with("inner_met") & real_bomb_ids
+        session = _user_session(
+            apk, population.sample(), seed=population_seed * 7000 + user
+        )
+        events = DynodroidGenerator(session.dex, seed=session.seed).events()
+        while session.elapsed < session_seconds:
+            session.step(next(events))
+        triggered |= session.runtime.bombs.bombs_with("inner_met") & real_bomb_ids
     return len(triggered) / len(real_bomb_ids) if real_bomb_ids else 0.0

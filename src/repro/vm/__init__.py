@@ -12,8 +12,8 @@ Components:
                  inline-cache call sites) behind the table engine
 ``interpreter``  the bytecode interpreter with tracing hooks
 ``reference``    the pre-dispatch-table loop, kept as semantic oracle
-``sessions``     ExecutionContext/SessionResult (the session API) and
-                 the batched real-play-session engine
+``sessions``     ExecutionContext/SessionResult (the session API), the
+                 PlaySession driver and the batched SessionEngine
 ``runtime``      class loading (including dynamic loading of decrypted
                  bomb payloads), static state, app installation
 ``containment``  graceful degradation for bomb-infrastructure failures
@@ -38,6 +38,7 @@ from repro.vm.interpreter import (
 from repro.vm.sessions import (
     ExecutionContext,
     PlayOutcome,
+    PlaySession,
     SessionEngine,
     SessionResult,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "CompositeTracer",
     "ExecutionContext",
     "PlayOutcome",
+    "PlaySession",
     "SessionEngine",
     "SessionResult",
     "Instance",

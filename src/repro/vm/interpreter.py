@@ -16,9 +16,7 @@ A register machine executing dispatch-table-compiled method bodies
   metric for the Table 5 overhead experiment.
 
 Execution happens under an :class:`~repro.vm.sessions.ExecutionContext`
-(:meth:`Interpreter.execute` / :meth:`execute_payload`); the historical
-``run(method, args, budget=None)`` / ``run_payload(..., budget, policy)``
-signatures survive one release as deprecated shims.
+(:meth:`Interpreter.execute` / :meth:`execute_payload`).
 
 The pre-dispatch-table interpreter survives verbatim as
 :class:`repro.vm.reference.ReferenceInterpreter` -- the semantic oracle
@@ -27,8 +25,7 @@ the differential tests (and the benchmark baseline) run against.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chaos.faults import fault_point
 from repro.dex.model import DexMethod
@@ -146,33 +143,6 @@ class _EngineBase:
             return self.execute(method, args, sub, depth=1)
         finally:
             budget[0] -= cap - sub.budget[0]
-
-    # -- deprecated pre-session-API shims (one release) --------------------
-
-    def run(self, method: DexMethod, args: List, budget: Optional[int] = None, depth: int = 0):
-        """Deprecated: use ``Runtime.session(...)`` / :meth:`execute`."""
-        warnings.warn(
-            "Interpreter.run(method, args, budget=...) is deprecated; "
-            "use Runtime.session(budget=...).run(method, args) or "
-            "Interpreter.execute(method, args, ctx)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cell = [budget if budget is not None else self._runtime.default_budget]
-        return self.execute(method, args, ExecutionContext.adopt(self._runtime, cell), depth)
-
-    def run_payload(self, method: DexMethod, args: List, budget: List[int], policy):
-        """Deprecated: use :meth:`execute_payload` with an ExecutionContext."""
-        warnings.warn(
-            "Interpreter.run_payload(method, args, budget, policy) is "
-            "deprecated; use Interpreter.execute_payload(method, args, ctx, "
-            "policy)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_payload(
-            method, args, ExecutionContext.adopt(self._runtime, budget), policy
-        )
 
 
 class Interpreter(_EngineBase):

@@ -65,8 +65,8 @@ class BombRegistry:
     they are the measurement channel for Tables 3-5 and Figures 4-5.
     """
 
-    def __init__(self, runtime: "Runtime") -> None:
-        self._runtime = runtime
+    def __init__(self, device: DeviceProfile) -> None:
+        self._device = device
         self.events: List[BombEvent] = []
         self.counts: Dict[str, Dict[str, int]] = {}
         #: first clock per event kind, and per (bomb, kind) -- kept
@@ -75,7 +75,7 @@ class BombRegistry:
         self.first_by_bomb: Dict[tuple, float] = {}
 
     def record(self, bomb_id: str, kind: str) -> None:
-        clock = self._runtime.device.clock
+        clock = self._device.clock
         self.events.append(BombEvent(clock, bomb_id, kind))
         per_bomb = self.counts.setdefault(bomb_id, {})
         per_bomb[kind] = per_bomb.get(kind, 0) + 1
@@ -168,7 +168,7 @@ class Runtime:
         self.detections: List[str] = []
         self.cost_units = 0
 
-        self.bombs = BombRegistry(self)
+        self.bombs = BombRegistry(self.device)
         self.framework = Framework(self)
         if engine == "table":
             self.interpreter = Interpreter(self)
@@ -192,13 +192,6 @@ class Runtime:
         """The effective tracer the interpreter observes through:
         None, the single registered tracer, or a CompositeTracer."""
         return self._effective_tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        # Compatibility with save/swap/restore call sites: assigning
-        # replaces the whole registration set.
-        self._tracers = [] if value is None else [value]
-        self._rebuild_tracer()
 
     @property
     def tracers(self) -> tuple:
@@ -347,11 +340,6 @@ class Runtime:
         :class:`~repro.vm.sessions.SessionResult`."""
         return ExecutionContext(self, budget=budget, tracers=tracers, policy=policy)
 
-    def framework_call(self, name: str, args: List, ctx):
-        """Call a framework API; ``ctx`` may be an ExecutionContext or a
-        legacy mutable budget list (adopted in place)."""
-        return self.framework.call(name, args, ctx)
-
     def invoke(self, qualified_name: str, args: List = (), budget: int = None):
         """Invoke a method by name (test/fuzzer entry point)."""
         method = self.find_method(qualified_name)
@@ -372,8 +360,11 @@ class Runtime:
     def dispatch(self, event: Event, budget: int = None):
         """Deliver one UI event to its handler and advance the clock.
 
-        Crashes propagate to the caller (the fuzzer harness decides
-        whether to restart the app), but time advances either way.
+        A missing handler raises :class:`MethodNotFound` *before* the
+        clock moves; once the handler is found the clock advances and
+        any crash propagates to the caller.  Play sessions
+        (:class:`repro.vm.sessions.PlaySession`) also advance the clock
+        for events with no handler.
         """
         handler = f"{event.target_class}.{handler_name_for(event.kind)}"
         method = self.find_method(handler)

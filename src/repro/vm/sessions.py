@@ -1,9 +1,4 @@
-"""First-class execution sessions and the batched play-session engine.
-
-Historically every execution entry point threaded a *mutable budget
-list* (``budget: List[int]``) through the interpreter, the framework
-and back -- an implementation detail promoted to an API.  This module
-replaces that plumbing:
+"""Execution sessions and the one play-session driver.
 
 :class:`ExecutionContext`
     One execution scope: a budget, optional extra tracers, an optional
@@ -19,25 +14,29 @@ replaces that plumbing:
     remaining, and the bomb-registry events ("trips") recorded during
     the call.
 
-:class:`SessionEngine`
-    Batched *real* play sessions -- boot, event stream, crash handling
-    -- replicating the exact per-session protocol of
-    ``OutcomeModel.calibrate`` (same seeds, same device draws, same
-    budgets) so fleet calibration and opt-in real-session fleets share
-    one engine instead of each reimplementing the loop.
+:class:`PlaySession`
+    The only code that boots an app, feeds it an event stream and
+    handles its crashes.  One user's app on one device: a crash either
+    reopens the app (``restart=True``) or play continues in the same
+    process.  :class:`PlayOutcome` is what the whole session observed.
 
-The old ``Interpreter.run`` / ``run_payload`` signatures survive as
-deprecated shims (see :mod:`repro.vm.interpreter`) for one release.
+:class:`SessionEngine`
+    Batches of seeded Dynodroid play sessions over one decoded app --
+    the calibration protocol behind ``OutcomeModel.calibrate``, opt-in
+    real-session fleets and ``repro simulate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import fault_point
-from repro.errors import MethodNotFound, VMError
+from repro.errors import MethodNotFound, ReproError
 from repro.vm.events import Event, handler_name_for
+
+if TYPE_CHECKING:
+    from repro.vm.runtime import BombRegistry
 
 #: Distinguishes "no policy override" from "override with None"
 #: (= legacy crash-through semantics) in ExecutionContext.
@@ -91,7 +90,7 @@ class ExecutionContext:
 
     @classmethod
     def adopt(cls, runtime, cell: List[int]) -> "ExecutionContext":
-        """Wrap an existing mutable budget cell (legacy-shim bridge).
+        """Wrap an existing mutable budget cell (a payload sub-budget).
 
         The cell is shared, not copied: decrements made through the
         context remain visible to whoever owns the list.
@@ -219,26 +218,42 @@ class ExecutionContext:
 
 
 # ---------------------------------------------------------------------------
-# Batched play sessions
+# Play sessions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PlayOutcome:
-    """Everything one real interpreted play session observed."""
+    """Everything one play session observed, across every app process
+    it started."""
 
-    index: int                 #: session index within the batch
     seed: int                  #: runtime/generator seed the session used
     events: int                #: UI events delivered (incl. wasted/crashed)
     wasted: int                #: events with no handler in the app
-    crashes: int               #: VMError-terminated dispatches
-    instructions: int          #: instructions interpreted across the session
+    crashes: int               #: events whose dispatch raised a library error
+    instructions: int          #: instructions the event stream interpreted
     cost: int                  #: cost units accrued (Table 5 metric)
     reports: Tuple[str, ...]   #: developer reports the app emitted
     detections: Tuple[str, ...]  #: bomb ids that recorded ``detected``
-    alerts: int                #: "alert" UI effects (bad-experience signal)
+    logs: Tuple[str, ...] = ()
+    ui_effects: Tuple[tuple, ...] = ()
+    #: type names of every library error caught, boot crashes included
+    errors: Tuple[str, ...] = ()
     bomb_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     clock: float = 0.0         #: device clock at session end
+    index: int = 0             #: session index within a SessionEngine batch
+    #: the bomb registry, merged across restarts
+    bombs: Optional["BombRegistry"] = field(default=None, compare=False, repr=False)
+
+    @property
+    def events_played(self) -> int:
+        """Events that reached a handler (crashed ones included)."""
+        return self.events - self.wasted
+
+    @property
+    def alerts(self) -> int:
+        """Count of ``alert`` UI effects (the bad-experience signal)."""
+        return sum(1 for kind, _ in self.ui_effects if kind == "alert")
 
     @property
     def reported(self) -> bool:
@@ -249,31 +264,145 @@ class PlayOutcome:
         return bool(self.detections) or self.alerts > 0
 
 
+class PlaySession:
+    """One user's app on one device, over a whole event stream.
+
+    The app boots when the session opens.  :meth:`step` delivers one
+    event; it charges each event its own budget (the runtime's
+    ``default_budget``) and follows three fixed rules:
+
+    * an event with no handler is *wasted*: counted, and the device
+      clock still advances by :data:`Event.DURATION`;
+    * a :class:`~repro.errors.ReproError` is a crash, recorded by type
+      name.  With ``restart=True`` the app is reopened: a fresh
+      :class:`Runtime` (all process state reset) boots on the same
+      device, so the clock and the bomb registry carry over.  Otherwise
+      play continues in the same process;
+    * anything outside the error taxonomy propagates -- a library bug
+      fails loudly.
+
+    Every process shares the one decoded ``dex`` and ``package`` (code
+    is immutable under execution, and the installed package does not
+    change between restarts).  Observables (logs, UI effects, reports,
+    detections, cost) are collected across restarts; :meth:`outcome`
+    returns them.  Every
+    other keyword argument configures each :class:`Runtime` the session
+    starts (``tracers``, ``report_client``, ``containment``,
+    ``default_budget``, ``engine``...).
+    """
+
+    def __init__(
+        self, dex, device, *, package=None, seed: int = 0,
+        restart: bool = False, **runtime_options,
+    ) -> None:
+        self.dex = dex
+        self.device = device
+        self.package = package
+        self.seed = seed
+        self.restart = restart
+        self._options = runtime_options
+        self.started = device.clock
+        self.events = self.wasted = self.crashes = self.instructions = 0
+        self.errors: List[str] = []
+        # Observables of processes that already ended (restart policy).
+        self._logs: List[str] = []
+        self._ui_effects: List[tuple] = []
+        self._reports: List[str] = []
+        self._detections: List[str] = []
+        self._cost = 0
+        self.runtime = None
+        self.reopen()
+
+    @property
+    def elapsed(self) -> float:
+        """Device time since the session opened."""
+        return self.device.clock - self.started
+
+    def reopen(self) -> None:
+        """Start a fresh app process and boot it; the device (and so
+        its clock) and the bomb registry carry over."""
+        from repro.vm.runtime import Runtime
+
+        previous = self.runtime
+        runtime = Runtime(
+            self.dex, device=self.device, package=self.package,
+            seed=self.seed, **self._options,
+        )
+        if previous is not None:
+            self._logs += previous.logs
+            self._ui_effects += previous.ui_effects
+            self._reports += previous.reports
+            self._detections += previous.detections
+            self._cost += previous.cost_units
+            runtime.bombs.merge_from(previous.bombs)
+        self.runtime = runtime
+        try:
+            runtime.session().boot()
+        except ReproError as exc:
+            self.errors.append(type(exc).__name__)
+
+    def step(self, event: Event) -> Optional[ReproError]:
+        """Deliver one event; returns the library error it crashed
+        with (after reopening the app under ``restart``), else None."""
+        self.events += 1
+        ctx = self.runtime.session()
+        error = None
+        try:
+            ctx.dispatch(event)
+        except MethodNotFound:
+            self.wasted += 1
+            self.device.advance(Event.DURATION)
+        except ReproError as exc:
+            error = exc
+        self.instructions += ctx.consumed
+        if error is not None:
+            self.crashes += 1
+            self.errors.append(type(error).__name__)
+            if self.restart:
+                self.reopen()
+        return error
+
+    def play(self, events) -> PlayOutcome:
+        """Deliver every event in ``events``; returns :meth:`outcome`."""
+        for event in events:
+            self.step(event)
+        return self.outcome()
+
+    def outcome(self) -> PlayOutcome:
+        runtime = self.runtime
+        return PlayOutcome(
+            seed=self.seed,
+            events=self.events,
+            wasted=self.wasted,
+            crashes=self.crashes,
+            instructions=self.instructions,
+            cost=self._cost + runtime.cost_units,
+            reports=tuple(self._reports + runtime.reports),
+            detections=tuple(self._detections + runtime.detections),
+            logs=tuple(self._logs + runtime.logs),
+            ui_effects=tuple(self._ui_effects + runtime.ui_effects),
+            errors=tuple(self.errors),
+            bomb_counts={k: dict(v) for k, v in runtime.bombs.counts.items()},
+            clock=self.device.clock,
+            bombs=runtime.bombs,
+        )
+
+
 class SessionEngine:
-    """Drives batches of *real* interpreted play sessions.
+    """Drives batches of seeded Dynodroid play sessions.
 
     One engine holds the decoded app (dex + install view) so per-session
     cost is just a fresh :class:`Runtime` over shared method objects --
     whose compiled bodies (``method._compiled``) are shared too, which
     is what makes thousands of sessions per second possible.
 
-    The per-session protocol is byte-compatible with what
-    ``OutcomeModel.calibrate`` always did: device drawn from a seeded
-    :class:`DevicePopulation`, runtime seeded ``seed * 100 + index``,
-    boot with VM errors swallowed, then a seeded Dynodroid event stream
-    where handlerless events are wasted and crashes are counted but do
+    Session ``index`` is seeded ``seed * 100 + index`` (runtime and
+    event stream) and plays in one process: crashes are counted but do
     not end the session.
     """
 
     def __init__(
-        self,
-        apk=None,
-        *,
-        dex=None,
-        package=None,
-        seed: int = 0,
-        events: int = 350,
-        budget: Optional[int] = None,
+        self, apk=None, *, dex=None, package=None, seed: int = 0, events: int = 350,
     ) -> None:
         if dex is None:
             if apk is None:
@@ -285,72 +414,32 @@ class SessionEngine:
         self.package = package
         self.seed = seed
         self.events = events
-        self.budget = budget
 
-    def play_one(
-        self, index: int, device=None, events: Optional[int] = None
-    ) -> PlayOutcome:
-        """Run one full session; ``index`` keys the seeds.
-
-        Without an explicit ``device`` the session draws the first
-        sample of a population seeded ``seed * 100 + index`` -- a
-        deterministic per-session device, independent of every other
-        session (fleet-style use).  Calibration passes devices drawn
-        in order from one shared population instead.
-        """
-        from repro.fuzzing.generators import DynodroidGenerator
+    def play_one(self, index: int) -> PlayOutcome:
+        """One session on the first sample of a population seeded
+        ``seed * 100 + index`` -- a deterministic per-session device,
+        independent of every other session (fleet-style use)."""
         from repro.vm.device import DevicePopulation
-        from repro.vm.runtime import Runtime
 
-        session_seed = self.seed * 100 + index
-        if device is None:
-            device = DevicePopulation(seed=session_seed).sample()
-        runtime = Runtime(
-            self.dex, device=device, package=self.package, seed=session_seed,
-        )
-        event_count = self.events if events is None else events
-        wasted = crashes = instructions = 0
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(self.dex, seed=session_seed).stream(
-            event_count
-        ):
-            ctx = runtime.session(budget=self.budget)
-            try:
-                ctx.dispatch(event)
-            except MethodNotFound:
-                wasted += 1
-            except VMError:
-                crashes += 1
-            finally:
-                instructions += ctx.consumed
-        return PlayOutcome(
-            index=index,
-            seed=session_seed,
-            events=event_count,
-            wasted=wasted,
-            crashes=crashes,
-            instructions=instructions,
-            cost=runtime.cost_units,
-            reports=tuple(runtime.reports),
-            detections=tuple(runtime.detections),
-            alerts=sum(1 for kind, _ in runtime.ui_effects if kind == "alert"),
-            bomb_counts={k: dict(v) for k, v in runtime.bombs.counts.items()},
-            clock=runtime.device.clock,
-        )
+        device = DevicePopulation(seed=self.seed * 100 + index).sample()
+        return self._play(index, device, self.events)
 
     def play(self, sessions: int, events: Optional[int] = None) -> List[PlayOutcome]:
-        """Run ``sessions`` calibration-style sessions.
-
-        Devices are drawn *in order* from one population seeded with the
-        engine seed -- the exact draw sequence calibration always used.
-        """
+        """Run ``sessions`` sessions on devices drawn *in order* from one
+        population seeded with the engine seed (the calibration draw)."""
         from repro.vm.device import DevicePopulation
 
         population = DevicePopulation(seed=self.seed)
+        count = self.events if events is None else events
         return [
-            self.play_one(index, device=population.sample(), events=events)
+            self._play(index, population.sample(), count)
             for index in range(sessions)
         ]
+
+    def _play(self, index: int, device, events: int) -> PlayOutcome:
+        from repro.fuzzing.generators import DynodroidGenerator
+
+        seed = self.seed * 100 + index
+        session = PlaySession(self.dex, device, package=self.package, seed=seed)
+        outcome = session.play(DynodroidGenerator(self.dex, seed=seed).stream(events))
+        return replace(outcome, index=index)

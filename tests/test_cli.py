@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import load_apk, main, save_apk
+from repro.vm.sessions import SessionEngine
 
 
 @pytest.fixture()
@@ -304,3 +305,21 @@ def test_attack_subcommand_static(workdir, capsys):
     assert main(["attack", "--in", clean, "--attack", "static"]) == 0
     out = capsys.readouterr().out
     assert "resisted" in out
+
+
+def test_simulate_seed_reseeds_every_session(pirated_apk, workdir, capsys):
+    """``--seed N`` plays session i with runtime and event seed
+    ``N * 100 + i`` (SessionEngine's protocol), not the same streams
+    for every N."""
+    path = str(workdir / "pirated.rapk")
+    save_apk(pirated_apk, path)
+    assert main(["simulate", "--in", path, "--devices", "3", "--events", "150",
+                 "--seed", "1"]) == 0
+    printed = capsys.readouterr().out.splitlines()[:3]
+    expected = [
+        f"device {o.index}: {'DETECTED' if o.detections else 'quiet'}  "
+        f"(bombs evaluated: {len(o.bombs.bombs_with('evaluated'))}, "
+        f"reports: {len(o.reports)})"
+        for o in SessionEngine(pirated_apk, seed=1, events=150).play(3)
+    ]
+    assert printed == expected

@@ -120,9 +120,9 @@ class TestRuntimeBehavior:
                 package=protected_apk.install_view(),
                 seed=index,
             )
-            result = session.run_for(240.0)
-            assert not result.bombs_detected
-            assert not result.bombs_responded
+            bombs = session.run_for(240.0).bombs
+            assert not bombs.bombs_with("detected")
+            assert not bombs.bombs_with("responded")
 
     def test_bombs_actually_evaluate_at_runtime(self, protected_apk):
         runtime = Runtime(

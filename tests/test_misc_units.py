@@ -66,9 +66,9 @@ class TestBombRegistry:
     def test_merge_keeps_earliest_first_times(self):
         a = self._registry()
         b = self._registry()
-        a._runtime.device.clock = 100.0
+        a._device.clock = 100.0
         a.record("b1", "inner_met")
-        b._runtime.device.clock = 5.0
+        b._device.clock = 5.0
         b.record("b1", "inner_met")
         a.merge_from(b)
         assert a.first_by_bomb[("b1", "inner_met")] == 5.0

@@ -6,10 +6,9 @@ from repro.userside import (
     AggregatedVerdict,
     DetectionAggregator,
     FirstTriggerStats,
-    PlaySession,
     simulate_first_triggers,
 )
-from repro.vm import DevicePopulation, Runtime
+from repro.vm import DevicePopulation, PlaySession, Runtime
 
 
 class TestFirstTrigger:
@@ -30,9 +29,14 @@ class TestFirstTrigger:
 
     def test_session_restart_preserves_history(self, pirated_apk):
         device = DevicePopulation(seed=5).sample()
-        session = PlaySession(pirated_apk, device, seed=5)
+        session = PlaySession(
+            pirated_apk.dex(), device, package=pirated_apk.install_view(),
+            seed=5, restart=True,
+        )
+        first = session.runtime
         session.runtime.bombs.record("fake", "inner_met")
-        session._restart(clock=0.0)
+        session.reopen()
+        assert session.runtime is not first
         assert "fake" in session.runtime.bombs.bombs_with("inner_met")
 
 

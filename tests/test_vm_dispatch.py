@@ -274,28 +274,7 @@ class TestClassloadMemo:
         assert second is first
 
 
-class TestDeprecatedShims:
-    def test_run_warns_and_matches_session_api(self):
-        _, tab = _runtimes()
-        method = tab.find_method("F.helper")
-        with pytest.warns(DeprecationWarning, match="Runtime.session"):
-            legacy = tab.interpreter.run(method, [4])
-        assert legacy == tab.session().run(method, [4]).value
-
-    def test_run_with_budget_warns_and_exhausts(self):
-        _, tab = _runtimes()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(BudgetExhausted):
-                tab.interpreter.run(tab.find_method("F.spin"), [100], budget=5)
-
-    def test_run_payload_warns_and_matches(self):
-        _, tab = _runtimes()
-        method = tab.find_method("F.helper")
-        with pytest.warns(DeprecationWarning, match="execute_payload"):
-            legacy = tab.interpreter.run_payload(method, [4], [10_000], None)
-        ctx = tab.session(budget=10_000)
-        assert legacy == tab.interpreter.execute_payload(method, [4], ctx, None)
-
+class TestEngineSelection:
     def test_engine_name_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):
             Runtime(assemble(FUSION_APP), engine="jit")

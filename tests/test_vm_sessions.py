@@ -1,9 +1,11 @@
-"""The session API: ExecutionContext, tracer unification, SessionEngine.
+"""The session API: ExecutionContext, tracer unification, the
+PlaySession driver and SessionEngine.
 
 ``Runtime.session(...)`` is the execution entry point; these tests pin
 its contract -- measured results, budget accounting, tracer attach/
-detach, policy override scoping -- plus the batched SessionEngine the
-fleet calibration and opt-in real-session fleets share.
+detach, policy override scoping -- plus the play-session driver's
+fixed rules and the batched SessionEngine the fleet calibration and
+opt-in real-session fleets share.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from repro.core.payloads import DetectionSpec, PayloadSpec, build_payload_dex
 from repro.dex import assemble
 from repro.dex.serializer import serialize_dex
 from repro.errors import ReportingError
-from repro.vm import Runtime
+from repro.vm import DevicePopulation, Event, EventKind, PlaySession, Runtime
 from repro.vm.containment import ContainmentPolicy
 from repro.vm.interpreter import CompositeTracer, CountingTracer, Tracer
 from repro.vm.sessions import ExecutionContext, SessionEngine, SessionResult
@@ -175,23 +177,70 @@ class TestTracerUnification:
         composite.on_invoke("X.y", [])
         assert order == [("a", "X.y"), ("b", "X.y")]
 
-    def test_setter_replaces_registration_set(self):
-        runtime = _runtime()
-        first, second = CountingTracer(), CountingTracer()
-        runtime.add_tracer(first)
-        runtime.add_tracer(second)
-        solo = CountingTracer()
-        runtime.tracer = solo        # legacy save/swap/restore idiom
-        assert runtime.tracers == (solo,)
-        runtime.tracer = None
-        assert runtime.tracers == ()
-        assert runtime.tracer is None
-
     def test_ctor_accepts_tracers_kwarg(self):
         tracer = CountingTracer()
         runtime = _runtime(tracers=[tracer])
         runtime.session().invoke("A.bump", [3])
         assert tracer.instructions == 4
+
+
+#: on_back crashes (unknown framework API); there is no on_menu handler.
+CRASHY_APP = APP + """
+.method on_back 0
+    invoke r0, no.such.api
+    return_void
+.end
+"""
+
+KEY = Event(EventKind.KEY, "A", (3,))
+BACK = Event(EventKind.BACK, "A", ())
+MENU = Event(EventKind.MENU, "A", (1,))
+
+
+def _play_session(**kwargs):
+    return PlaySession(
+        assemble(CRASHY_APP), DevicePopulation(seed=0).sample(), seed=0, **kwargs
+    )
+
+
+class TestPlaySession:
+    def test_wasted_event_still_advances_clock(self):
+        session = _play_session()
+        assert session.step(MENU) is None
+        assert (session.wasted, session.crashes) == (1, 0)
+        assert session.elapsed == pytest.approx(Event.DURATION)
+
+    def test_continue_policy_keeps_the_process(self):
+        session = _play_session()
+        first = session.runtime
+        outcome = session.play([KEY, BACK, KEY])
+        assert session.runtime is first
+        assert (outcome.crashes, outcome.errors) == (1, ("VMCrash",))
+        assert first.statics["A.total"] == 6
+
+    def test_restart_resets_state_and_carries_clock_and_registry(self):
+        session = _play_session(restart=True)
+        first = session.runtime
+        session.step(KEY)
+        first.bombs.record("b0", "inner_met")
+        assert session.step(BACK) is not None
+        assert session.runtime is not first
+        assert session.runtime.statics["A.total"] == 0
+        assert session.elapsed == pytest.approx(2 * Event.DURATION)
+        outcome = session.outcome()
+        assert outcome.bombs.bombs_with("inner_met") == {"b0"}
+        assert outcome.events_played == 2
+
+    def test_errors_outside_the_taxonomy_propagate(self):
+        class Broken(Tracer):
+            def on_invoke(self, name, args):
+                if name == "A.on_back":
+                    raise RuntimeError("tracer bug")
+
+        session = _play_session(restart=True, tracers=[Broken()])
+        with pytest.raises(RuntimeError):
+            session.step(BACK)
+        assert session.errors == []
 
 
 class TestSessionEngine:
