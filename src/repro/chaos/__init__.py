@@ -27,11 +27,18 @@ work demands -- under a hostile, partially broken environment:
              automatic promotion, epoch fencing of stale leaders,
              client re-routing -- then checks the verdict math against
              an uninterrupted run
+``matrix``   the skeleton the three drivers share: one report type
+             (replay digest, JSON serializer, text renderer) and the
+             per-trial directory loop; a driver defines only its
+             config, trial record, scenarios, invariants and summary
+             lines
 
 ``faults`` is import-light on purpose (the VM and reporting layers call
-its ``fault_point`` hook); the harness pulls in the whole pipeline and
-is therefore loaded lazily via module ``__getattr__``.
+its ``fault_point`` hook); the drivers pull in the whole pipeline and
+are therefore loaded lazily via module ``__getattr__``.
 """
+
+import importlib
 
 from repro.chaos.faults import (
     FAULT_SITES,
@@ -45,6 +52,28 @@ from repro.chaos.faults import (
     install_plan,
 )
 
+#: Name -> defining submodule for everything loaded lazily: the harness
+#: imports the VM, which imports repro.chaos.faults, so resolving these
+#: at first use keeps that edge acyclic; the crash-restart and failover
+#: drivers pull in the reporting stack (and its socket layer) the same
+#: way.
+_LAZY = {
+    "MatrixReport": "matrix",
+    "ChaosConfig": "harness",
+    "ChaosRunner": "harness",
+    "TrialRecord": "harness",
+    "run_chaos": "harness",
+    "CrashRestartConfig": "crash",
+    "CrashRestartRunner": "crash",
+    "CrashTrialRecord": "crash",
+    "run_crash_restart": "crash",
+    "FAILOVER_SCENARIOS": "failover",
+    "FailoverChaosConfig": "failover",
+    "FailoverChaosRunner": "failover",
+    "FailoverTrialRecord": "failover",
+    "run_failover_chaos": "failover",
+}
+
 __all__ = [
     "FAULT_SITES",
     "ArmedFault",
@@ -55,54 +84,12 @@ __all__ = [
     "current_plan",
     "fault_point",
     "install_plan",
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosRunner",
-    "TrialRecord",
-    "run_chaos",
-    "CrashRestartConfig",
-    "CrashRestartReport",
-    "CrashRestartRunner",
-    "CrashTrialRecord",
-    "run_crash_restart",
-    "FAILOVER_SCENARIOS",
-    "FailoverChaosConfig",
-    "FailoverChaosReport",
-    "FailoverChaosRunner",
-    "FailoverTrialRecord",
-    "run_failover_chaos",
+    *_LAZY,
 ]
-
-_HARNESS_NAMES = {
-    "ChaosConfig", "ChaosReport", "ChaosRunner", "TrialRecord", "run_chaos",
-}
-
-_CRASH_NAMES = {
-    "CrashRestartConfig", "CrashRestartReport", "CrashRestartRunner",
-    "CrashTrialRecord", "run_crash_restart",
-}
-
-_FAILOVER_NAMES = {
-    "FAILOVER_SCENARIOS", "FailoverChaosConfig", "FailoverChaosReport",
-    "FailoverChaosRunner", "FailoverTrialRecord", "run_failover_chaos",
-}
 
 
 def __getattr__(name: str):
-    # Lazy: harness imports the VM, which imports repro.chaos.faults --
-    # resolving it here at first use keeps that edge acyclic.  The
-    # crash-restart and failover drivers pull in the reporting stack
-    # (and its socket layer) the same way.
-    if name in _HARNESS_NAMES:
-        from repro.chaos import harness
-
-        return getattr(harness, name)
-    if name in _CRASH_NAMES:
-        from repro.chaos import crash
-
-        return getattr(crash, name)
-    if name in _FAILOVER_NAMES:
-        from repro.chaos import failover
-
-        return getattr(failover, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.chaos.{module}"), name)

@@ -22,20 +22,26 @@ semantics across the crash:
   touching any acked report.
 
 Every trial is a pure function of ``(seed, scenario, crash_offset)``,
-so :meth:`CrashRestartReport.digest` replays bit for bit.
+so the report's digest replays bit for bit.
+
+The signed stream, the double-sending submit and the exactly-once
+checks are shared with the failover matrix (:mod:`.failover`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
-import shutil
 import struct
-import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.crypto import RSAKeyPair, sha1_hex
+from repro.chaos.matrix import MatrixReport, run_in_trial_dirs
+from repro.crypto import RSAKeyPair
 from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
 from repro.reporting.wire import DetectionReport, SignedReport, sign_report
 
@@ -48,6 +54,124 @@ _APP = "CrashApp"
 _ORIGINAL_KEY = "aa" * 20
 _PIRATE_KEY = "bb" * 20
 
+_POLICY = TakedownPolicy(distinct_devices=3, window_seconds=3600.0)
+_SHARDS = 4
+#: Every report ``i`` with ``i % _DUPLICATE_EVERY == 2`` is followed by a
+#: deliberate client double-send of report ``i - 1``.
+_DUPLICATE_EVERY = 5
+#: Drain + verdict cadence during ingest.
+_PROCESS_EVERY = 7
+
+
+def signed_stream(
+    label: str, key_seed: int, reports: int, observed_key_hex: str
+) -> List[SignedReport]:
+    """A fixed, pre-signed report stream: nonces drawn from ``label``,
+    devices rotated so several reports share one device."""
+    rng = random.Random(label)
+    key = RSAKeyPair.generate(seed=key_seed)
+    devices = max(3, reports // 3)
+    return [
+        sign_report(
+            DetectionReport(
+                app_name=_APP,
+                bomb_id=f"b{i % 4:02d}",
+                device_id=f"dev-{i % devices:04d}",
+                observed_key_hex=observed_key_hex,
+                timestamp=float(i),
+                nonce=rng.getrandbits(32),
+            ),
+            key,
+        )
+        for i in range(reports)
+    ]
+
+
+def submit_with_double_send(
+    submit: Callable[[SignedReport], SubmitStatus],
+    stream: Sequence[SignedReport],
+    i: int,
+    accepted: Set[Tuple[str, int]],
+    violations: List[str],
+    prefix: str,
+) -> None:
+    """Submit ``stream[i]`` and record its ``(device, nonce)`` pair if
+    accepted; on the double-send cadence resubmit ``stream[i - 1]``.
+    Neither may ever be counted twice."""
+    signed = stream[i]
+    status = submit(signed)
+    pair = (signed.report.device_id, signed.report.nonce)
+    if status is SubmitStatus.ACCEPTED:
+        if pair in accepted:
+            violations.append(
+                f"{prefix} (device, nonce) {pair} accepted twice"
+            )
+        accepted.add(pair)
+    if i % _DUPLICATE_EVERY == 2:
+        # A retrying client double-sends the previous report.
+        if submit(stream[i - 1]) is SubmitStatus.ACCEPTED:
+            violations.append(
+                f"{prefix} double-send of report {i - 1} accepted"
+            )
+
+
+def resubmit_accepted(
+    submit: Callable[[SignedReport], SubmitStatus],
+    reports: Iterable[SignedReport],
+    accepted: Set[Tuple[str, int]],
+    violations: List[str],
+    prefix: str,
+    before: str,
+    after: str,
+) -> int:
+    """Resubmit every report of ``reports`` whose ``(device, nonce)``
+    was accepted ``before`` the failure; each must answer DUPLICATE
+    ``after`` it, because the dedup window survived.  Returns how many
+    did."""
+    duplicates = 0
+    for signed in reports:
+        if (signed.report.device_id, signed.report.nonce) not in accepted:
+            continue
+        status = submit(signed)
+        if status is SubmitStatus.DUPLICATE:
+            duplicates += 1
+        else:
+            violations.append(
+                f"{prefix} {before} accepted report "
+                f"(device={signed.report.device_id}) came back "
+                f"{status.value} {after}, expected duplicate"
+            )
+    return duplicates
+
+
+def check_exactly_once(
+    violations: List[str], prefix: str, across: str,
+    observed: tuple, expected: tuple,
+) -> None:
+    """Compare ``(verdict, offender, accepted pairs, takedowns)`` after
+    the ``across`` event (``crash``, ``failover``) with ``expected``, the
+    uninterrupted run's."""
+    verdict, offender, accepted, takedowns = observed
+    want_verdict, want_offender, want_accepted, want_takedowns = expected
+    if accepted != want_accepted:
+        lost = len(want_accepted - accepted)
+        extra = len(accepted - want_accepted)
+        violations.append(
+            f"{prefix} accepted set diverged from uninterrupted run "
+            f"({lost} lost, {extra} extra)"
+        )
+    if (verdict, offender) != (want_verdict, want_offender):
+        violations.append(
+            f"{prefix} verdict {verdict.value}/{offender[:16]} differs "
+            f"from uninterrupted run "
+            f"{want_verdict.value}/{want_offender[:16]}"
+        )
+    if takedowns != want_takedowns:
+        violations.append(
+            f"{prefix} {takedowns} takedowns across the {across}, "
+            f"expected exactly {want_takedowns}"
+        )
+
 
 @dataclass
 class CrashRestartConfig:
@@ -58,11 +182,6 @@ class CrashRestartConfig:
     #: Stream offsets to crash at; empty derives three spread across the
     #: stream (early / middle / late) from ``reports``.
     crash_offsets: Tuple[int, ...] = ()
-    scenarios: Tuple[str, ...] = CRASH_SCENARIOS
-    shards: int = 4
-    duplicate_every: int = 5     # deliberate client double-sends
-    process_every: int = 7       # drain + verdict cadence during ingest
-    torn_tail: bool = True       # simulate a partial append at the kill
     snapshot_every: int = 16     # appends between snapshot compactions
     #: Parent directory for per-trial data dirs (None = a temp dir that
     #: is removed afterwards).
@@ -91,80 +210,14 @@ class CrashTrialRecord:
     offender: str
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.scenario, self.crash_offset, self.accepted_before,
-            self.accepted_after, self.wal_replayed, self.torn_records,
-            self.snapshot_loaded, self.takedowns, self.verdict,
-            self.offender, self.violations,
-        )
 
-
-@dataclass
-class CrashRestartReport:
-    """Everything a kill-and-recover run observed."""
-
-    seed: int
-    trials: List[CrashTrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def digest(self) -> str:
-        """Replay fingerprint: same seed, same digest, bit for bit."""
-        state = (
-            self.seed,
-            tuple(record.key() for record in self.trials),
-            tuple(self.violations),
-        )
-        return sha1_hex(repr(state).encode("utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest(),
-            "violations": list(self.violations),
-            "trials": [
-                {
-                    "scenario": r.scenario,
-                    "crash_offset": r.crash_offset,
-                    "accepted_before": r.accepted_before,
-                    "accepted_after": r.accepted_after,
-                    "wal_replayed": r.wal_replayed,
-                    "torn_records": r.torn_records,
-                    "snapshot_loaded": r.snapshot_loaded,
-                    "takedowns": r.takedowns,
-                    "verdict": r.verdict,
-                    "violations": list(r.violations),
-                }
-                for r in self.trials
-            ],
-        }
-
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-        lines = [
-            f"crash-restart: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + ")",
-            f"WAL records replayed: "
-            f"{sum(r.wal_replayed for r in self.trials)}; torn tails "
-            f"recovered: {sum(r.torn_records for r in self.trials)}; "
-            f"snapshot restores: "
-            f"{sum(1 for r in self.trials if r.snapshot_loaded)}",
-            f"replay digest: {self.digest()}",
-        ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
+def _summary_lines(report: MatrixReport) -> List[str]:
+    trials = report.trials
+    return [
+        f"WAL records replayed: {sum(r.wal_replayed for r in trials)}; "
+        f"torn tails recovered: {sum(r.torn_records for r in trials)}; "
+        f"snapshot restores: {sum(1 for r in trials if r.snapshot_loaded)}",
+    ]
 
 
 class CrashRestartRunner:
@@ -172,41 +225,27 @@ class CrashRestartRunner:
 
     def __init__(self, config: CrashRestartConfig) -> None:
         self.config = config
-        self.policy = TakedownPolicy(distinct_devices=3, window_seconds=3600.0)
-        self._streams: Dict[str, List[SignedReport]] = {}
-        self._baselines: Dict[str, tuple] = {}
 
     # -- deterministic inputs ----------------------------------------------
 
-    def stream(self, scenario: str) -> List[SignedReport]:
-        """The fixed, pre-signed report stream for one scenario."""
-        if scenario not in self._streams:
-            config = self.config
-            rng = random.Random(f"{config.seed}:{scenario}")
-            key = RSAKeyPair.generate(seed=config.seed * 77 + 1)
-            observed = _PIRATE_KEY if scenario == "pirated" else _ORIGINAL_KEY
-            devices = max(3, config.reports // 3)
-            signed = []
-            for i in range(config.reports):
-                report = DetectionReport(
-                    app_name=_APP,
-                    bomb_id=f"b{i % 4:02d}",
-                    device_id=f"dev-{i % devices:04d}",
-                    observed_key_hex=observed,
-                    timestamp=float(i),
-                    nonce=rng.getrandbits(32),
-                )
-                signed.append(sign_report(report, key))
-            self._streams[scenario] = signed
-        return self._streams[scenario]
+    @cached_property
+    def streams(self) -> Dict[str, List[SignedReport]]:
+        """The fixed, pre-signed report stream of each scenario."""
+        seed = self.config.seed
+        return {
+            scenario: signed_stream(
+                f"{seed}:{scenario}", seed * 77 + 1, self.config.reports,
+                _PIRATE_KEY if scenario == "pirated" else _ORIGINAL_KEY,
+            )
+            for scenario in CRASH_SCENARIOS
+        }
 
     def _make_server(self, data_dir: Optional[str] = None) -> ReportServer:
         server = ReportServer(
-            shards=self.config.shards, policy=self.policy,
+            shards=_SHARDS, policy=_POLICY,
             data_dir=data_dir, snapshot_every=self.config.snapshot_every,
         )
-        if _APP not in server.apps:
-            server.register_app(_APP, _ORIGINAL_KEY)
+        server.register_app(_APP, _ORIGINAL_KEY)
         return server
 
     def _ingest(
@@ -221,45 +260,33 @@ class CrashRestartRunner:
     ) -> None:
         """Drive ``stream[start:end]`` with the fixed duplicate/process
         cadence, recording accepted ``(device, nonce)`` pairs."""
-        config = self.config
         for i in range(start, end):
-            signed = stream[i]
-            status = server.submit(signed)
-            pair = (signed.report.device_id, signed.report.nonce)
-            if status is SubmitStatus.ACCEPTED:
-                if pair in accepted:
-                    violations.append(
-                        f"{prefix} (device, nonce) {pair} accepted twice"
-                    )
-                accepted.add(pair)
-            if i % config.duplicate_every == 2:
-                # A retrying client double-sends the previous report; it
-                # must never be counted again.
-                dup = server.submit(stream[i - 1])
-                if dup is SubmitStatus.ACCEPTED:
-                    violations.append(
-                        f"{prefix} double-send of report {i - 1} accepted"
-                    )
-            if i % config.process_every == config.process_every - 1:
+            submit_with_double_send(
+                server.submit, stream, i, accepted, violations, prefix
+            )
+            if i % _PROCESS_EVERY == _PROCESS_EVERY - 1:
                 server.process()
                 server.verdict(_APP)
         server.process()
 
-    def baseline(self, scenario: str) -> tuple:
-        """Uninterrupted in-memory run: (verdict, offender, accepted)."""
-        if scenario not in self._baselines:
+    @cached_property
+    def baselines(self) -> Dict[str, tuple]:
+        """Each scenario's uninterrupted in-memory run: (verdict,
+        offender, accepted, violations)."""
+        baselines = {}
+        for scenario, stream in self.streams.items():
             server = self._make_server()
             accepted: Set[Tuple[str, int]] = set()
             scratch: List[str] = []
             self._ingest(
-                server, self.stream(scenario), 0, self.config.reports,
+                server, stream, 0, self.config.reports,
                 accepted, scratch, "[baseline]",
             )
             verdict, offender = server.verdict(_APP)
-            self._baselines[scenario] = (
+            baselines[scenario] = (
                 verdict, offender, frozenset(accepted), tuple(scratch),
             )
-        return self._baselines[scenario]
+        return baselines
 
     # -- one trial ----------------------------------------------------------
 
@@ -272,9 +299,9 @@ class CrashRestartRunner:
             f"crash@{crash_offset}]"
         )
         violations: List[str] = []
-        stream = self.stream(scenario)
+        stream = self.streams[scenario]
         expected_verdict, expected_offender, expected_accepted, base_errs = (
-            self.baseline(scenario)
+            self.baselines[scenario]
         )
         violations.extend(base_errs)
 
@@ -287,30 +314,22 @@ class CrashRestartRunner:
         takedowns_before = int(
             server.metrics.counter("reporting.takedowns").value
         )
-        pre_crash = [
-            s for s in stream[:crash_offset]
-            if (s.report.device_id, s.report.nonce) in accepted_before
-        ]
 
         # -- kill: no compaction, no flush; WAL appends were unbuffered.
         server.crash()
-        torn_expected = 0
-        if config.torn_tail:
-            # The dying process got partway through an (unacked) append:
-            # a plausible length, a bogus crc, a fraction of the payload.
-            with open(os.path.join(data_dir, "wal-000.log"), "ab") as fh:
-                fh.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
-            torn_expected = 1
+        # The dying process got partway through an (unacked) append: a
+        # plausible length, a bogus crc, a fraction of the payload.
+        with open(os.path.join(data_dir, "wal-000.log"), "ab") as fh:
+            fh.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
 
         recovered = ReportServer.recover(
-            data_dir, shards=config.shards, policy=self.policy,
+            data_dir, shards=_SHARDS, policy=_POLICY,
             snapshot_every=config.snapshot_every,
         )
         torn = int(recovered.metrics.counter("recovery.torn_records").value)
-        if torn != torn_expected:
+        if torn != 1:
             violations.append(
-                f"{prefix} recovery counted {torn} torn records, "
-                f"expected {torn_expected}"
+                f"{prefix} recovery counted {torn} torn records, expected 1"
             )
         wal_replayed = int(recovered.metrics.counter("wal.replayed").value)
         snapshot_loaded = (
@@ -320,14 +339,10 @@ class CrashRestartRunner:
         # Exactly-once across the crash: every pre-crash accepted report
         # must be a DUPLICATE now -- the dedup window survived the kill.
         recovered.process()
-        for signed in pre_crash:
-            status = recovered.submit(signed)
-            if status is not SubmitStatus.DUPLICATE:
-                violations.append(
-                    f"{prefix} pre-crash accepted report "
-                    f"(device={signed.report.device_id}) came back "
-                    f"{status.value} after recovery, expected duplicate"
-                )
+        resubmit_accepted(
+            recovered.submit, stream[:crash_offset], accepted_before,
+            violations, prefix, "pre-crash", "after recovery",
+        )
 
         accepted_after: Set[Tuple[str, int]] = set()
         self._ingest(
@@ -340,31 +355,18 @@ class CrashRestartRunner:
                 f"{prefix} {len(doubled)} reports accepted on both sides "
                 f"of the crash"
             )
-        total_accepted = accepted_before | accepted_after
-        if total_accepted != expected_accepted:
-            lost = len(expected_accepted - total_accepted)
-            extra = len(total_accepted - expected_accepted)
-            violations.append(
-                f"{prefix} accepted set diverged from uninterrupted run "
-                f"({lost} lost, {extra} extra)"
-            )
-
         verdict, offender = recovered.verdict(_APP)
-        if (verdict, offender) != (expected_verdict, expected_offender):
-            violations.append(
-                f"{prefix} verdict {verdict.value}/{offender[:16]} differs "
-                f"from uninterrupted run "
-                f"{expected_verdict.value}/{expected_offender[:16]}"
-            )
         takedowns = takedowns_before + int(
             recovered.metrics.counter("reporting.takedowns").value
         )
-        expected_takedowns = 1 if scenario == "pirated" else 0
-        if takedowns != expected_takedowns:
-            violations.append(
-                f"{prefix} {takedowns} takedowns across the crash, "
-                f"expected exactly {expected_takedowns}"
-            )
+        check_exactly_once(
+            violations, prefix, "crash",
+            (verdict, offender, accepted_before | accepted_after, takedowns),
+            (
+                expected_verdict, expected_offender, expected_accepted,
+                1 if scenario == "pirated" else 0,
+            ),
+        )
         recovered.close()
 
         return CrashTrialRecord(
@@ -383,32 +385,16 @@ class CrashRestartRunner:
 
     # -- the whole matrix ---------------------------------------------------
 
-    def run(self) -> CrashRestartReport:
+    def run(self) -> MatrixReport:
         config = self.config
-        report = CrashRestartReport(seed=config.seed)
-        root = config.data_dir
-        owns_root = root is None
-        if owns_root:
-            root = tempfile.mkdtemp(prefix="repro-crash-")
-        try:
-            for scenario in config.scenarios:
-                for offset in config.offsets():
-                    trial_dir = os.path.join(
-                        root, f"{scenario}-{offset:04d}"
-                    )
-                    # A leftover dir from an earlier run would replay
-                    # into the fresh trial and break determinism.
-                    shutil.rmtree(trial_dir, ignore_errors=True)
-                    os.makedirs(trial_dir)
-                    record = self.run_trial(scenario, offset, trial_dir)
-                    report.trials.append(record)
-                    report.violations.extend(record.violations)
-        finally:
-            if owns_root:
-                shutil.rmtree(root, ignore_errors=True)
-        return report
+        return run_in_trial_dirs(
+            MatrixReport("crash-restart", config.seed, _summary_lines),
+            config.data_dir, "repro-crash-",
+            itertools.product(CRASH_SCENARIOS, config.offsets()),
+            self.run_trial,
+        )
 
 
-def run_crash_restart(config: CrashRestartConfig) -> CrashRestartReport:
+def run_crash_restart(config: CrashRestartConfig) -> MatrixReport:
     """Run the kill-and-recover matrix, return the report."""
     return CrashRestartRunner(config).run()

@@ -44,21 +44,30 @@ digest; every *count* in the digest is a pure function of the seed.
 
 from __future__ import annotations
 
+import itertools
 import os
-import random
-import shutil
-import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Set, Tuple
 
+from repro.chaos.crash import (
+    _APP,
+    _ORIGINAL_KEY,
+    _PIRATE_KEY,
+    _POLICY,
+    check_exactly_once,
+    resubmit_accepted,
+    signed_stream,
+    submit_with_double_send,
+)
 from repro.chaos.faults import FaultPlan, active_plan
-from repro.crypto import RSAKeyPair, sha1_hex
+from repro.chaos.matrix import MatrixReport, run_in_trial_dirs
 from repro.reporting.net.replication import ReplicaFollower
 from repro.reporting.net.service import ServiceHandle
 from repro.reporting.net.supervisor import ClusterSupervisor
 from repro.reporting.net.transport import TcpTransport
-from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
-from repro.reporting.wire import DetectionReport, SignedReport, sign_report
+from repro.reporting.server import ReportServer, SubmitStatus
+from repro.reporting.wire import SignedReport
 
 FAILOVER_SCENARIOS = (
     "sigkill",
@@ -71,9 +80,12 @@ FAILOVER_SCENARIOS = (
 #: Scenarios whose old leader survives the failure (and must be fenced).
 _LIVE_LEADER = ("partition", "stale_leader")
 
-_APP = "FailoverApp"
-_ORIGINAL_KEY = "aa" * 20
-_PIRATE_KEY = "bb" * 20
+_SHARDS = 4
+#: ``snapshot_every`` keeps compaction out of the counts.
+_SERVER_KWARGS = dict(shards=_SHARDS, policy=_POLICY, snapshot_every=4096)
+_MISS_THRESHOLD = 3
+#: Hard cap on supervisor ticks per phase (a hung trial is a bug).
+_MAX_TICKS = 64
 
 
 @dataclass
@@ -85,12 +97,6 @@ class FailoverChaosConfig:
     #: Stream offsets to kill at; empty derives an early and a late one.
     kill_offsets: Tuple[int, ...] = ()
     scenarios: Tuple[str, ...] = FAILOVER_SCENARIOS
-    shards: int = 4
-    miss_threshold: int = 3
-    duplicate_every: int = 5     # deliberate client double-sends
-    snapshot_every: int = 4096   # keep compaction out of the counts
-    #: Hard cap on supervisor ticks per phase (a hung trial is a bug).
-    max_ticks: int = 64
     #: Parent directory for per-trial data dirs (None = a temp dir that
     #: is removed afterwards).
     data_dir: Optional[str] = None
@@ -123,89 +129,23 @@ class FailoverTrialRecord:
     offender: str
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.scenario, self.kill_offset, self.accepted_before,
-            self.accepted_after, self.duplicates_after,
-            self.ticks_to_failover, self.supervisor_crashes,
-            self.fences_sent, self.fences_acked, self.stale_not_leader,
-            self.redirects, self.epoch, self.takedowns, self.verdict,
-            self.offender, self.violations,
-        )
+
+def _summary_lines(report: MatrixReport) -> List[str]:
+    trials = report.trials
+    promoted = sum(1 for r in trials if r.epoch >= 1)
+    return [
+        f"promotions: {promoted} automatic, 0 manual; epochs "
+        f"reached: {sorted({r.epoch for r in trials})}",
+        f"fences: {sum(r.fences_sent for r in trials)} sent, "
+        f"{sum(r.fences_acked for r in trials)} acked; stale "
+        f"leaders answered NOT_LEADER "
+        f"{sum(r.stale_not_leader for r in trials)} time(s)",
+    ]
 
 
-@dataclass
-class FailoverChaosReport:
-    """Everything a kill-the-leader run observed."""
-
-    seed: int
-    trials: List[FailoverTrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def digest(self) -> str:
-        """Replay fingerprint: same seed, same digest, bit for bit."""
-        state = (
-            self.seed,
-            tuple(record.key() for record in self.trials),
-            tuple(self.violations),
-        )
-        return sha1_hex(repr(state).encode("utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest(),
-            "violations": list(self.violations),
-            "trials": [
-                {
-                    "scenario": r.scenario,
-                    "kill_offset": r.kill_offset,
-                    "accepted_before": r.accepted_before,
-                    "accepted_after": r.accepted_after,
-                    "duplicates_after": r.duplicates_after,
-                    "ticks_to_failover": r.ticks_to_failover,
-                    "supervisor_crashes": r.supervisor_crashes,
-                    "fences_sent": r.fences_sent,
-                    "fences_acked": r.fences_acked,
-                    "stale_not_leader": r.stale_not_leader,
-                    "redirects": r.redirects,
-                    "epoch": r.epoch,
-                    "takedowns": r.takedowns,
-                    "verdict": r.verdict,
-                    "violations": list(r.violations),
-                }
-                for r in self.trials
-            ],
-        }
-
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-        lines = [
-            f"failover: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + ")",
-            f"promotions: {len(self.trials)} automatic, 0 manual; epochs "
-            f"reached: {sorted({r.epoch for r in self.trials})}",
-            f"fences: {sum(r.fences_sent for r in self.trials)} sent, "
-            f"{sum(r.fences_acked for r in self.trials)} acked; stale "
-            f"leaders answered NOT_LEADER "
-            f"{sum(r.stale_not_leader for r in self.trials)} time(s), "
-            f"accepted 0 post-promotion writes",
-            f"replay digest: {self.digest()}",
-        ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
+def _count(handle: ServiceHandle, name: str) -> int:
+    """A counter of the server ``handle`` serves, read on its loop."""
+    return handle.call(lambda s: int(s.metrics.counter(name).value))
 
 
 class FailoverChaosRunner:
@@ -213,60 +153,30 @@ class FailoverChaosRunner:
 
     def __init__(self, config: FailoverChaosConfig) -> None:
         self.config = config
-        self.policy = TakedownPolicy(distinct_devices=3, window_seconds=3600.0)
-        self._stream: Optional[List[SignedReport]] = None
-        self._baseline: Optional[tuple] = None
 
     # -- deterministic inputs ----------------------------------------------
 
+    @cached_property
     def stream(self) -> List[SignedReport]:
         """The fixed, pre-signed pirated report stream."""
-        if self._stream is None:
-            config = self.config
-            rng = random.Random(f"{config.seed}:failover")
-            key = RSAKeyPair.generate(seed=config.seed * 91 + 3)
-            devices = max(3, config.reports // 3)
-            self._stream = [
-                sign_report(
-                    DetectionReport(
-                        app_name=_APP,
-                        bomb_id=f"b{i % 4:02d}",
-                        device_id=f"dev-{i % devices:04d}",
-                        observed_key_hex=_PIRATE_KEY,
-                        timestamp=float(i),
-                        nonce=rng.getrandbits(32),
-                    ),
-                    key,
-                )
-                for i in range(config.reports)
-            ]
-        return self._stream
-
-    def server_kwargs(self) -> dict:
-        return dict(
-            shards=self.config.shards,
-            policy=self.policy,
-            snapshot_every=self.config.snapshot_every,
+        seed = self.config.seed
+        return signed_stream(
+            f"{seed}:failover", seed * 91 + 3, self.config.reports,
+            _PIRATE_KEY,
         )
 
+    @cached_property
     def baseline(self) -> tuple:
         """Uninterrupted in-memory run: (verdict, offender, accepted)."""
-        if self._baseline is None:
-            server = ReportServer(**self.server_kwargs())
-            server.register_app(_APP, _ORIGINAL_KEY)
-            accepted: Set[Tuple[str, int]] = set()
-            for signed in self.stream():
-                if server.submit(signed) is SubmitStatus.ACCEPTED:
-                    accepted.add(
-                        (signed.report.device_id, signed.report.nonce)
-                    )
-            server.process()
-            verdict, offender = server.verdict(_APP)
-            takedowns = int(
-                server.metrics.counter("reporting.takedowns").value
-            )
-            self._baseline = (verdict, offender, frozenset(accepted), takedowns)
-        return self._baseline
+        server = ReportServer(**_SERVER_KWARGS)
+        server.register_app(_APP, _ORIGINAL_KEY)
+        accepted: Set[Tuple[str, int]] = set()
+        for signed in self.stream:
+            if server.submit(signed) is SubmitStatus.ACCEPTED:
+                accepted.add((signed.report.device_id, signed.report.nonce))
+        server.process()
+        verdict, offender = server.verdict(_APP)
+        return (verdict, offender, frozenset(accepted))
 
     # -- one trial ----------------------------------------------------------
 
@@ -290,14 +200,14 @@ class FailoverChaosRunner:
             f"[replay: --seed {config.seed}, {scenario}, kill@{kill_offset}]"
         )
         violations: List[str] = []
-        stream = self.stream()
-        expected_verdict, expected_offender, expected_accepted, _ = (
-            self.baseline()
-        )
+        stream = self.stream
+        # The uninterrupted run's verdict, offender and accepted set,
+        # and exactly one takedown.
+        expected = (*self.baseline, 1)
 
         # -- the cluster: leader + warm-standby follower -------------------
         leader = ReportServer(
-            data_dir=os.path.join(trial_dir, "leader"), **self.server_kwargs()
+            data_dir=os.path.join(trial_dir, "leader"), **_SERVER_KWARGS
         )
         leader.register_app(_APP, _ORIGINAL_KEY)
         handle = ServiceHandle.start(
@@ -306,7 +216,7 @@ class FailoverChaosRunner:
         follower = ReplicaFollower(
             os.path.join(trial_dir, "replica"),
             handle.replication_address,
-            expect_shards=config.shards,
+            expect_shards=_SHARDS,
         ).start()
         if not follower.wait_applied(1, timeout=10):
             violations.append(f"{prefix} follower never bootstrapped")
@@ -316,21 +226,9 @@ class FailoverChaosRunner:
         transport = TcpTransport([leader_endpoint])
         accepted_before: Set[Tuple[str, int]] = set()
         for i in range(kill_offset):
-            signed = stream[i]
-            status = transport(signed)
-            pair = (signed.report.device_id, signed.report.nonce)
-            if status is SubmitStatus.ACCEPTED:
-                if pair in accepted_before:
-                    violations.append(
-                        f"{prefix} (device, nonce) {pair} accepted twice"
-                    )
-                accepted_before.add(pair)
-            if i % config.duplicate_every == 2:
-                dup = transport(stream[i - 1])
-                if dup is SubmitStatus.ACCEPTED:
-                    violations.append(
-                        f"{prefix} double-send of report {i - 1} accepted"
-                    )
+            submit_with_double_send(
+                transport, stream, i, accepted_before, violations, prefix
+            )
         transport.close()
         # Catch-up barrier: the matrix asserts *lossless* failover, so
         # the follower must hold every acked record before the kill
@@ -349,21 +247,19 @@ class FailoverChaosRunner:
         supervisor = ClusterSupervisor(
             leader_endpoint,
             [follower],
-            server_kwargs=self.server_kwargs(),
-            miss_threshold=config.miss_threshold,
+            server_kwargs=_SERVER_KWARGS,
+            miss_threshold=_MISS_THRESHOLD,
             probe_timeout=0.5,
         )
         plan = self._plan_for(scenario)
         ticks = 0
         with active_plan(plan):
-            while supervisor.failovers == 0 and ticks < config.max_ticks:
+            while supervisor.failovers == 0 and ticks < _MAX_TICKS:
                 supervisor.tick()
                 ticks += 1
             refence = 0
-            while (
-                leader_alive
-                and not supervisor.fenced
-                and refence < config.max_ticks
+            while leader_alive and not supervisor.fenced and (
+                refence < _MAX_TICKS
             ):
                 supervisor.tick()
                 refence += 1
@@ -396,30 +292,17 @@ class FailoverChaosRunner:
 
         # -- exactly-once across the failover ------------------------------
         resend = TcpTransport([promoted_handle.address])
-        duplicates_after = 0
-        for i in range(kill_offset):
-            signed = stream[i]
-            pair = (signed.report.device_id, signed.report.nonce)
-            if pair not in accepted_before:
-                continue
-            status = resend(signed)
-            if status is SubmitStatus.DUPLICATE:
-                duplicates_after += 1
-            else:
-                violations.append(
-                    f"{prefix} pre-kill accepted report "
-                    f"(device={signed.report.device_id}) came back "
-                    f"{status.value} on the new leader, expected duplicate"
-                )
+        duplicates_after = resubmit_accepted(
+            resend, stream[:kill_offset], accepted_before,
+            violations, prefix, "pre-kill", "on the new leader",
+        )
         resend.close()
 
         # -- drain the rest; stale-leader scenarios drain *through* the
         # old endpoint so the NOT_LEADER redirect path carries real load.
         stale_accepted_floor = 0
         if leader_alive:
-            stale_accepted_floor = handle.call(
-                lambda s: int(s.metrics.counter("reporting.accepted").value)
-            )
+            stale_accepted_floor = _count(handle, "reporting.accepted")
             drain = TcpTransport([leader_endpoint])
         else:
             drain = TcpTransport([promoted_handle.address])
@@ -445,20 +328,14 @@ class FailoverChaosRunner:
 
         stale_not_leader = 0
         if leader_alive:
-            stale_accepted = handle.call(
-                lambda s: int(s.metrics.counter("reporting.accepted").value)
-            )
+            stale_accepted = _count(handle, "reporting.accepted")
             if stale_accepted != stale_accepted_floor:
                 violations.append(
                     f"{prefix} fenced stale leader accepted "
                     f"{stale_accepted - stale_accepted_floor} "
                     f"post-promotion write(s)"
                 )
-            stale_not_leader = handle.call(
-                lambda s: int(
-                    s.metrics.counter("reporting.net.not_leader").value
-                )
-            )
+            stale_not_leader = _count(handle, "reporting.net.not_leader")
             if redirects < 1 or stale_not_leader < 1:
                 violations.append(
                     f"{prefix} drain through the stale leader never hit "
@@ -467,31 +344,15 @@ class FailoverChaosRunner:
             handle.stop()
 
         # -- convergence ----------------------------------------------------
-        total_accepted = accepted_before | accepted_after
-        if total_accepted != expected_accepted:
-            lost = len(expected_accepted - total_accepted)
-            extra = len(total_accepted - expected_accepted)
-            violations.append(
-                f"{prefix} accepted set diverged from uninterrupted run "
-                f"({lost} lost, {extra} extra)"
-            )
         verdict, offender = promoted_handle.call(
             lambda s: (s.process(), s.verdict(_APP))[1]
         )
-        if (verdict, offender) != (expected_verdict, expected_offender):
-            violations.append(
-                f"{prefix} verdict {verdict.value}/{offender[:16]} differs "
-                f"from uninterrupted run "
-                f"{expected_verdict.value}/{expected_offender[:16]}"
-            )
-        takedowns = promoted_handle.call(
-            lambda s: int(s.metrics.counter("reporting.takedowns").value)
+        takedowns = _count(promoted_handle, "reporting.takedowns")
+        check_exactly_once(
+            violations, prefix, "failover",
+            (verdict, offender, accepted_before | accepted_after, takedowns),
+            expected,
         )
-        if takedowns != 1:
-            violations.append(
-                f"{prefix} {takedowns} takedowns across the failover, "
-                f"expected exactly 1"
-            )
         epoch = promoted.epoch
         supervisor.shutdown()
         promoted.close()
@@ -517,28 +378,16 @@ class FailoverChaosRunner:
 
     # -- the whole matrix ---------------------------------------------------
 
-    def run(self) -> FailoverChaosReport:
+    def run(self) -> MatrixReport:
         config = self.config
-        report = FailoverChaosReport(seed=config.seed)
-        root = config.data_dir
-        owns_root = root is None
-        if owns_root:
-            root = tempfile.mkdtemp(prefix="repro-failover-")
-        try:
-            for scenario in config.scenarios:
-                for offset in config.offsets():
-                    trial_dir = os.path.join(root, f"{scenario}-{offset:04d}")
-                    shutil.rmtree(trial_dir, ignore_errors=True)
-                    os.makedirs(trial_dir)
-                    record = self.run_trial(scenario, offset, trial_dir)
-                    report.trials.append(record)
-                    report.violations.extend(record.violations)
-        finally:
-            if owns_root:
-                shutil.rmtree(root, ignore_errors=True)
-        return report
+        return run_in_trial_dirs(
+            MatrixReport("failover", config.seed, _summary_lines),
+            config.data_dir, "repro-failover-",
+            itertools.product(config.scenarios, config.offsets()),
+            self.run_trial,
+        )
 
 
-def run_failover_chaos(config: FailoverChaosConfig) -> FailoverChaosReport:
+def run_failover_chaos(config: FailoverChaosConfig) -> MatrixReport:
     """Run the kill-the-leader matrix, return the report."""
     return FailoverChaosRunner(config).run()

@@ -23,21 +23,25 @@ containment invariants after every trial:
               the library's own error taxonomy may escape the VM.
 
 Every trial runs under one :class:`~repro.chaos.faults.FaultPlan`
-derived from ``(seed, trial)``; the report's :meth:`ChaosReport.digest`
-is a pure function of the seed, so re-running the same seed must
-reproduce it bit for bit (``verify_replay``).
+derived from ``(seed, trial)``; the report's
+:meth:`~repro.chaos.matrix.MatrixReport.digest` is a pure function of
+the seed, so re-running the same seed must reproduce it bit for bit
+(``verify_replay``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.faults import FaultPlan, active_plan
+from repro.chaos.matrix import MatrixReport
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import build_app
-from repro.crypto import RSAKeyPair, sha1_hex
+from repro.crypto import RSAKeyPair
 from repro.errors import TransportError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.repack import repackage
@@ -48,6 +52,12 @@ from repro.vm.device import DevicePopulation
 from repro.vm.sessions import PlayOutcome, PlaySession
 
 SCENARIOS = ("genuine", "pirated", "hostile")
+
+_APP_NAME = "ChaosApp"
+_CATEGORY = "Game"
+#: Consecutive payload failures before containment quarantines a bomb.
+_BREAKER_K = 3
+_ALPHA = 0.3
 
 #: Fault sites on the bomb-firing path (transparency scenario), with the
 #: injector mode each one gets.
@@ -68,15 +78,11 @@ class ChaosConfig:
 
     seed: int = 7
     trials: int = 25
-    app_name: str = "ChaosApp"
-    category: str = "Game"
     scale: float = 0.4
     events: int = 600
     devices: int = 2            # distinct pirate devices rotated across trials
     strict: bool = False        # ContainmentPolicy.strict (debugging)
-    breaker_k: int = 3
     profiling_events: int = 300
-    alpha: float = 0.3
     mesh: bool = False          # protect with the bomb mesh armed
 
 
@@ -98,91 +104,57 @@ class TrialRecord:
     degraded: bool
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.trial, self.scenario, self.armed, self.fault_fires,
-            self.fault_log, self.crashes, self.errors, self.payload_errors,
-            self.quarantines, self.detected, self.accepted, self.degraded,
-            self.violations,
+
+def _summary_lines(report: MatrixReport) -> List[str]:
+    trials = report.trials
+    return [
+        f"faults fired: {sum(r.fault_fires for r in trials)}",
+        f"bombs injected: {report.header['bombs_injected']}; baseline "
+        "transparency: "
+        + ("OK" if report.header["baseline_transparent"] else "VIOLATED"),
+        f"contained payload errors: "
+        f"{sum(r.payload_errors for r in trials)}; quarantines: "
+        f"{sum(r.quarantines for r in trials)}; degraded trials: "
+        f"{sum(1 for r in trials if r.degraded)}",
+    ]
+
+
+def _check_non_taxonomy(violations: List[str], prefix: str, session) -> None:
+    non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
+    if non_taxonomy:
+        violations.append(
+            f"{prefix} non-taxonomy error escaped the VM: {non_taxonomy}"
         )
 
 
-@dataclass
-class ChaosReport:
-    """Everything a chaos run observed."""
+def _check_undetected(violations: List[str], prefix: str, session) -> None:
+    if session.detections:
+        violations.append(f"{prefix} genuine app detected repackaging")
 
-    seed: int
-    trials: List[TrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    baseline_transparent: bool = True
-    bombs_injected: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def digest(self) -> str:
-        """Replay fingerprint: identical seeds must produce identical
-        digests (fault logs, event counts, verdicts -- everything)."""
-        state = (
-            self.seed,
-            self.baseline_transparent,
-            self.bombs_injected,
-            tuple(record.key() for record in self.trials),
-            tuple(self.violations),
-        )
-        return sha1_hex(repr(state).encode("utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest(),
-            "baseline_transparent": self.baseline_transparent,
-            "bombs_injected": self.bombs_injected,
-            "violations": list(self.violations),
-            "trials": [
-                {
-                    "trial": r.trial,
-                    "scenario": r.scenario,
-                    "armed": list(r.armed),
-                    "fault_fires": r.fault_fires,
-                    "crashes": r.crashes,
-                    "payload_errors": r.payload_errors,
-                    "quarantines": r.quarantines,
-                    "detected": r.detected,
-                    "accepted": r.accepted,
-                    "degraded": r.degraded,
-                    "violations": list(r.violations),
-                }
-                for r in self.trials
-            ],
-        }
-
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        fires = 0
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-            fires += record.fault_fires
-        lines = [
-            f"chaos: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + f"), {fires} faults fired",
-            f"bombs injected: {self.bombs_injected}; baseline transparency: "
-            + ("OK" if self.baseline_transparent else "VIOLATED"),
-            f"contained payload errors: "
-            f"{sum(r.payload_errors for r in self.trials)}; quarantines: "
-            f"{sum(r.quarantines for r in self.trials)}; degraded trials: "
-            f"{sum(1 for r in self.trials if r.degraded)}",
-            f"replay digest: {self.digest()}",
-        ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
+def _record(
+    trial: int, scenario: str, plan: FaultPlan, session: PlayOutcome,
+    violations: List[str], **overrides,
+) -> TrialRecord:
+    """A trial record from the plan and session; ``overrides`` carries
+    the fields a scenario measures its own way."""
+    observed = dict(
+        armed=plan.armed_sites(),
+        fault_fires=plan.fires(),
+        fault_log=plan.log_signature(),
+        crashes=len(session.errors),
+        errors=tuple(session.errors),
+        payload_errors=session.bombs.count("payload_error"),
+        quarantines=session.bombs.count("quarantined"),
+        detected=bool(session.detections),
+        accepted=0,
+        degraded=False,
+    )
+    observed.update(overrides)
+    return TrialRecord(
+        trial=trial, scenario=scenario, violations=tuple(violations),
+        **observed,
+    )
 
 
 class ChaosRunner:
@@ -191,14 +163,14 @@ class ChaosRunner:
     def __init__(self, config: ChaosConfig) -> None:
         self.config = config
         bundle = build_app(
-            config.app_name, category=config.category,
+            _APP_NAME, category=_CATEGORY,
             seed=config.seed, scale=config.scale,
         )
         self.bundle = bundle
         protect_config = BombDroidConfig(
             seed=config.seed,
             profiling_events=config.profiling_events,
-            alpha=config.alpha,
+            alpha=_ALPHA,
             mesh=config.mesh,
         )
         self.protected, self.instrumentation = BombDroid(protect_config).protect(
@@ -217,7 +189,6 @@ class ChaosRunner:
         self.events = list(
             DynodroidGenerator(bundle.dex, seed=config.seed).stream(config.events)
         )
-        self._unprotected_snapshot: Optional[tuple] = None
         self._pirated_baseline: Dict[int, bool] = {}
 
     # -- building blocks ----------------------------------------------------
@@ -226,12 +197,6 @@ class ChaosRunner:
         """A fresh device with the deterministic profile for ``index``."""
         return DevicePopulation(seed=self.config.seed * 31 + index).sample()
 
-    def _policy(self) -> ContainmentPolicy:
-        return ContainmentPolicy(
-            max_consecutive_failures=self.config.breaker_k,
-            strict=self.config.strict,
-        )
-
     def _play(self, apk, device, client=None) -> PlayOutcome:
         """Boot and drive the fixed event script; crashes reopen the
         app.  An error outside the library's taxonomy is recorded as
@@ -239,7 +204,10 @@ class ChaosRunner:
         session = PlaySession(
             apk.dex(), device, package=apk.install_view(),
             seed=self.config.seed, restart=True,
-            report_client=client, containment=self._policy(),
+            report_client=client,
+            containment=ContainmentPolicy(
+                max_consecutive_failures=_BREAKER_K, strict=self.config.strict
+            ),
         )
         for event in self.events:
             try:
@@ -253,17 +221,15 @@ class ChaosRunner:
     def _snapshot(session: PlayOutcome) -> tuple:
         return (session.logs, session.ui_effects, session.reports)
 
+    @cached_property
     def unprotected_snapshot(self) -> tuple:
-        if self._unprotected_snapshot is None:
-            session = self._play(self.bundle.apk, self._device(0))
-            self._unprotected_snapshot = self._snapshot(session)
-        return self._unprotected_snapshot
+        return self._snapshot(self._play(self.bundle.apk, self._device(0)))
 
     def baseline_transparent(self) -> bool:
         """Fault-free transparency: protected == unprotected output."""
         session = self._play(self.protected, self._device(0))
         return (
-            self._snapshot(session) == self.unprotected_snapshot()
+            self._snapshot(session) == self.unprotected_snapshot
             and not session.errors
             and not session.detections
         )
@@ -316,22 +282,13 @@ class ChaosRunner:
         with active_plan(plan):
             session = self._play(self.protected, self._device(0))
         bombs = session.bombs
-        payload_errors = bombs.count("payload_error")
-        skipped = bombs.count("payload_skipped")
-        quarantines = bombs.count("quarantined")
-        degraded = self._snapshot(session) != self.unprotected_snapshot()
+        degraded = self._snapshot(session) != self.unprotected_snapshot
 
         prefix = self._prefix(trial, "genuine")
-        non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
-        if non_taxonomy:
-            violations.append(
-                f"{prefix} non-taxonomy error escaped the VM: {non_taxonomy}"
-            )
-        if self.config.strict:
-            # Strict containment re-raises; crashes are the point.  Only
-            # the taxonomy invariant applies.
-            pass
-        else:
+        _check_non_taxonomy(violations, prefix, session)
+        # Strict containment re-raises; crashes are the point there, so
+        # only the taxonomy invariant applies.
+        if not self.config.strict:
             if session.errors:
                 violations.append(
                     f"{prefix} host crashed under contained faults: "
@@ -350,8 +307,7 @@ class ChaosRunner:
                         f"{prefix} host output changed without a woven "
                         "bomb failure (transparency broken)"
                     )
-        if session.detections:
-            violations.append(f"{prefix} genuine app detected repackaging")
+        _check_undetected(violations, prefix, session)
         if bombs.count("mesh_tripped"):
             violations.append(
                 f"{prefix} mesh guard tripped on a genuine app (peers and "
@@ -360,33 +316,32 @@ class ChaosRunner:
             )
         for bomb_id, kinds in bombs.counts.items():
             q = kinds.get("quarantined", 0)
-            if q and kinds.get("payload_error", 0) < self.config.breaker_k * q:
+            if q and kinds.get("payload_error", 0) < _BREAKER_K * q:
                 violations.append(
                     f"{prefix} bomb {bomb_id} quarantined after fewer than "
-                    f"{self.config.breaker_k} consecutive failures"
+                    f"{_BREAKER_K} consecutive failures"
                 )
-        return TrialRecord(
-            trial=trial, scenario="genuine", armed=plan.armed_sites(),
-            fault_fires=plan.fires(), fault_log=plan.log_signature(),
-            crashes=len(session.errors), errors=tuple(session.errors),
-            payload_errors=payload_errors + skipped, quarantines=quarantines,
-            detected=bool(session.detections), accepted=0,
-            degraded=degraded, violations=tuple(violations),
+        return _record(
+            trial, "genuine", plan, session, violations,
+            payload_errors=(
+                bombs.count("payload_error") + bombs.count("payload_skipped")
+            ),
+            degraded=degraded,
         )
 
     def _pirated_run(self, device_index: int, plan: Optional[FaultPlan]):
         """One pirated play session with a live report pipeline."""
         server = ReportServer(shards=2)
         server.register_app(self.bundle.name, self.original_key_hex)
-        submissions: List[tuple] = []
+        #: Acceptances per (device, nonce), in first-acceptance order.
+        accepted_pairs: Counter = Counter()
         accepted_signed: List = []
 
         def transport(signed):
             status = server.submit(signed)
-            submissions.append(
-                (signed.report.device_id, signed.report.nonce, status)
-            )
             if status is SubmitStatus.ACCEPTED:
+                report = signed.report
+                accepted_pairs[report.device_id, report.nonce] += 1
                 accepted_signed.append(signed)
             return status
 
@@ -403,12 +358,12 @@ class ChaosRunner:
             with active_plan(plan):
                 session = self._play(self.pirated, device, client=client)
                 client.flush()  # exercise spool reads under fault
-        return session, server, client, submissions, accepted_signed
+        return session, server, client, accepted_pairs, accepted_signed
 
     def _trial_pirated(self, trial: int, plan: FaultPlan) -> TrialRecord:
         violations: List[str] = []
         device_index = trial % self.config.devices
-        session, server, client, submissions, accepted_signed = (
+        session, server, client, accepted_pairs, accepted_signed = (
             self._pirated_run(device_index, plan)
         )
         prefix = self._prefix(trial, "pirated")
@@ -426,11 +381,6 @@ class ChaosRunner:
                 f"{prefix} spool failed to recover: {client.spooled} stuck"
             )
         # No double counting: each (device, nonce) accepted at most once.
-        accepted_pairs: Dict[tuple, int] = {}
-        for device_id, nonce, status in submissions:
-            if status is SubmitStatus.ACCEPTED:
-                key = (device_id, nonce)
-                accepted_pairs[key] = accepted_pairs.get(key, 0) + 1
         double = {k: n for k, n in accepted_pairs.items() if n > 1}
         if double:
             violations.append(f"{prefix} server double-counted: {double}")
@@ -441,19 +391,10 @@ class ChaosRunner:
                     f"{prefix} resubmitted report came back {status.value}, "
                     "expected duplicate"
                 )
-        non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
-        if non_taxonomy:
-            violations.append(
-                f"{prefix} non-taxonomy error escaped the VM: {non_taxonomy}"
-            )
-        return TrialRecord(
-            trial=trial, scenario="pirated", armed=plan.armed_sites(),
-            fault_fires=plan.fires(), fault_log=plan.log_signature(),
-            crashes=len(session.errors), errors=tuple(session.errors),
-            payload_errors=session.bombs.count("payload_error"),
-            quarantines=session.bombs.count("quarantined"),
+        _check_non_taxonomy(violations, prefix, session)
+        return _record(
+            trial, "pirated", plan, session, violations,
             detected=detected, accepted=len(accepted_pairs),
-            degraded=False, violations=tuple(violations),
         )
 
     def _trial_hostile(self, trial: int, plan: FaultPlan) -> TrialRecord:
@@ -461,51 +402,39 @@ class ChaosRunner:
         with active_plan(plan):
             session = self._play(self.protected, self._device(0))
         prefix = self._prefix(trial, "hostile")
-        non_taxonomy = [e for e in session.errors if e.startswith("NON_TAXONOMY")]
-        if non_taxonomy:
-            violations.append(
-                f"{prefix} non-taxonomy error escaped the VM: {non_taxonomy}"
-            )
-        if session.detections:
-            violations.append(f"{prefix} genuine app detected repackaging")
+        _check_non_taxonomy(violations, prefix, session)
+        _check_undetected(violations, prefix, session)
         if session.bombs.count("mesh_tripped"):
             violations.append(
                 f"{prefix} mesh guard tripped on a genuine app under a "
                 "hostile framework"
             )
-        return TrialRecord(
-            trial=trial, scenario="hostile", armed=plan.armed_sites(),
-            fault_fires=plan.fires(), fault_log=plan.log_signature(),
-            crashes=len(session.errors), errors=tuple(session.errors),
-            payload_errors=session.bombs.count("payload_error"),
-            quarantines=session.bombs.count("quarantined"),
-            detected=bool(session.detections), accepted=0,
-            degraded=False, violations=tuple(violations),
-        )
+        return _record(trial, "hostile", plan, session, violations)
 
     def _prefix(self, trial: int, scenario: str) -> str:
         return f"[replay: --seed {self.config.seed}, trial {trial}, {scenario}]"
 
     # -- the whole matrix ---------------------------------------------------
 
-    def run(self) -> ChaosReport:
-        report = ChaosReport(
-            seed=self.config.seed,
-            bombs_injected=len(self.instrumentation.bombs),
+    def run(self) -> MatrixReport:
+        transparent = self.baseline_transparent()
+        report = MatrixReport(
+            "chaos", self.config.seed, _summary_lines,
+            header={
+                "baseline_transparent": transparent,
+                "bombs_injected": len(self.instrumentation.bombs),
+            },
         )
-        report.baseline_transparent = self.baseline_transparent()
-        if not report.baseline_transparent:
+        if not transparent:
             report.violations.append(
                 f"[replay: --seed {self.config.seed}, baseline] protected "
                 "app output differs from unprotected with no faults armed"
             )
         for trial in range(self.config.trials):
-            record = self.run_trial(trial)
-            report.trials.append(record)
-            report.violations.extend(record.violations)
+            report.add(self.run_trial(trial))
         return report
 
 
-def run_chaos(config: ChaosConfig) -> ChaosReport:
+def run_chaos(config: ChaosConfig) -> MatrixReport:
     """Build the corpus, run the matrix, return the report."""
     return ChaosRunner(config).run()

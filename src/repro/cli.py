@@ -805,30 +805,21 @@ def _cmd_chaos(args) -> int:
         print("error: --crash-restart and --failover are mutually exclusive",
               file=sys.stderr)
         return EXIT_USAGE
+    from repro import chaos
+
+    # The stream matrices keep their own --reports default when the flag
+    # is absent.
+    stream_options = {"data_dir": args.data_dir}
+    if args.reports is not None:
+        stream_options["reports"] = args.reports
     if args.crash_restart:
-        from repro.chaos import CrashRestartConfig, run_crash_restart
-
-        config = CrashRestartConfig(
-            seed=args.seed,
-            reports=args.reports,
-            data_dir=args.data_dir,
-        )
-        report = run_crash_restart(config)
-        runner = run_crash_restart
+        config = chaos.CrashRestartConfig(seed=args.seed, **stream_options)
+        runner = chaos.run_crash_restart
     elif args.failover:
-        from repro.chaos import FailoverChaosConfig, run_failover_chaos
-
-        config = FailoverChaosConfig(
-            seed=args.seed,
-            reports=args.reports,
-            data_dir=args.data_dir,
-        )
-        report = run_failover_chaos(config)
-        runner = run_failover_chaos
+        config = chaos.FailoverChaosConfig(seed=args.seed, **stream_options)
+        runner = chaos.run_failover_chaos
     else:
-        from repro.chaos import ChaosConfig, run_chaos
-
-        config = ChaosConfig(
+        config = chaos.ChaosConfig(
             seed=args.seed,
             trials=args.trials,
             scale=args.scale,
@@ -837,8 +828,8 @@ def _cmd_chaos(args) -> int:
             strict=args.strict,
             mesh=args.mesh,
         )
-        report = run_chaos(config)
-        runner = run_chaos
+        runner = chaos.run_chaos
+    report = runner(config)
     replay_ok = True
     if args.verify_replay:
         replay_ok = runner(config).digest() == report.digest()
@@ -1132,8 +1123,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the kill-the-leader matrix against the "
                             "replicated cluster: heartbeat-supervised "
                             "promotion, epoch fencing, client re-routing")
-    chaos.add_argument("--reports", type=int, default=48,
-                       help="stream length per crash-restart/failover trial")
+    chaos.add_argument("--reports", type=int, default=None,
+                       help="stream length per crash-restart/failover trial "
+                            "(default: 48 crash-restart, 30 failover)")
     chaos.add_argument("--data-dir", default=None,
                        help="parent directory for crash-restart/failover "
                             "trial state (default: a temp dir, removed "

@@ -535,14 +535,17 @@ class IngestService:
         finally:
             if queue in self._follower_queues:
                 self._follower_queues.remove(queue)
-            if not relay.done():
-                await queue.put(None)
-                await asyncio.gather(relay, return_exceptions=True)
-            writer.close()
             try:
+                if not relay.done():
+                    await queue.put(None)
+                    await asyncio.gather(relay, return_exceptions=True)
+                writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # CancelledError: stop()/abort() or the loop teardown
+                # cancelled this handler mid-cleanup (a cancelled gather
+                # cancels the relay too); the socket dies with it.
+                writer.close()
 
     async def _relay(self, queue: asyncio.Queue, writer: asyncio.StreamWriter) -> None:
         try:

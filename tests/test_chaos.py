@@ -1,5 +1,6 @@
 """Fault plans, injectors, and the chaos harness itself."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,11 @@ from repro.chaos import (
     FAULT_SITES,
     ChaosConfig,
     CrashRestartConfig,
+    FailoverChaosConfig,
+    FailoverChaosRunner,
+    FailoverTrialRecord,
     FaultPlan,
+    MatrixReport,
     active_plan,
     clear_plan,
     current_plan,
@@ -184,8 +189,8 @@ class TestChaosHarness:
     def test_invariants_hold(self, reports):
         report, _ = reports
         assert report.ok, "\n".join(report.violations)
-        assert report.baseline_transparent
-        assert report.bombs_injected > 0
+        assert report.header["baseline_transparent"]
+        assert report.header["bombs_injected"] > 0
         assert len(report.trials) == 3
         assert {r.scenario for r in report.trials} <= {
             "genuine", "pirated", "hostile"
@@ -216,7 +221,7 @@ class TestChaosHarness:
         )
         report = run_chaos(config)
         assert report.ok, "\n".join(report.violations)
-        assert report.baseline_transparent
+        assert report.header["baseline_transparent"]
 
 
 class TestChaosCli:
@@ -237,6 +242,64 @@ class TestChaosCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["violations"] == []
+
+    @pytest.mark.parametrize("flag, module, runner, default", [
+        ("--crash-restart", "crash", "run_crash_restart", 48),
+        ("--failover", "failover", "run_failover_chaos", 30),
+    ])
+    def test_reports_default_is_per_matrix(
+        self, monkeypatch, capsys, flag, module, runner, default
+    ):
+        """Without --reports each stream matrix runs its own documented
+        stream length; with it, the flag wins."""
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return MatrixReport("stub", config.seed, lambda report: [])
+
+        monkeypatch.setattr(f"repro.chaos.{module}.{runner}", capture)
+        assert main(["chaos", flag]) == EXIT_OK
+        assert main(["chaos", flag, "--reports", "18"]) == EXIT_OK
+        assert [config.reports for config in seen] == [default, 18]
+
+
+class TestFailoverSummary:
+    @staticmethod
+    def record(scenario, epoch, violations=()):
+        return FailoverTrialRecord(
+            scenario=scenario, kill_offset=5, accepted_before=4,
+            accepted_after=0 if epoch == 0 else 7, duplicates_after=4,
+            ticks_to_failover=4, supervisor_crashes=0, fences_sent=1,
+            fences_acked=1, stale_not_leader=2, redirects=1, epoch=epoch,
+            takedowns=1 if epoch else 0,
+            verdict="takedown" if epoch else "none",
+            offender="bb" * 20 if epoch else "", violations=violations,
+        )
+
+    def test_unpromoted_trial_is_not_counted_as_a_promotion(
+        self, monkeypatch, tmp_path
+    ):
+        records = [
+            self.record("sigkill", 1),
+            self.record("partition", 0, ("[replay] no automatic promotion",)),
+        ]
+        runner = FailoverChaosRunner(FailoverChaosConfig(
+            kill_offsets=(5,), scenarios=("sigkill", "partition"),
+            data_dir=str(tmp_path),
+        ))
+        played = iter(records)
+        monkeypatch.setattr(
+            runner, "run_trial", lambda scenario, offset, trial_dir: next(played)
+        )
+        report = runner.run()
+        summary = report.summary()
+        assert "promotions: 1 automatic, 0 manual; epochs reached: [0, 1]" in summary
+        assert "post-promotion" not in summary
+        assert "INVARIANT VIOLATIONS (1):" in summary
+        assert report.to_dict()["trials"] == [
+            dataclasses.asdict(record) for record in records
+        ]
 
 
 class TestCrashRestart:
@@ -274,6 +337,8 @@ class TestCrashRestart:
     def test_replay_digest_identical(self, reports):
         first, second = reports
         assert first.digest() == second.digest()
+        # Pinned: a refactor of the matrix must not move a single bit.
+        assert first.digest() == "219f1b5999643f4a125e493564bd5202c60f9866"
 
     def test_report_serializes(self, reports):
         report, _ = reports

@@ -1,6 +1,8 @@
 """Networked ingestion: framing, service, replication, failover, fleet."""
 
+import asyncio
 import dataclasses
+import logging
 import os
 import random
 import re
@@ -41,6 +43,7 @@ from repro.reporting.net import (
     MSG_SNAPSHOT,
     FrameReader,
     HealthStatus,
+    IngestService,
     MessageReader,
     ReplicaFollower,
     ServiceHandle,
@@ -408,6 +411,51 @@ class TestReplication:
                 follower.wait_applied(1, timeout=5)
         finally:
             handle.stop()
+
+    def test_teardown_logs_no_asyncio_errors(self, tmp_path, caplog):
+        """Stopping or killing a leader with a follower attached leaves
+        nothing in asyncio's error log.  After a kill, or after the
+        follower hangs up, the replica handler runs ``turns`` loop
+        iterations of its cleanup before the loop teardown cancels every
+        task again, as ServiceHandle's teardown does; wherever that
+        cancel lands, the handler must absorb it."""
+
+        async def cycle(index, how, turns):
+            server = make_server(data_dir=str(tmp_path / f"leader-{index}"))
+            service = IngestService(
+                server, replication_port=0, heartbeat_interval=0.05
+            )
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                *service.replication_address
+            )
+            await reader.read(1)  # the replica handler is live
+            if how == "stop":
+                await service.stop()
+            elif how == "kill":
+                service.abort()
+            else:
+                writer.close()
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            here = asyncio.current_task()
+            tasks = [task for task in asyncio.all_tasks() if task is not here]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            writer.close()
+            server.close()
+
+        cycles = [("stop", 0)] + [
+            (how, turns) for how in ("kill", "hang up") for turns in range(8)
+        ]
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for index, (how, turns) in enumerate(cycles):
+                asyncio.run(cycle(index, how, turns))
+        assert [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ] == []
 
     def test_replication_requires_durable_server(self):
         server = make_server()  # no data_dir

@@ -567,6 +567,8 @@ class TestFailoverChaosSmoke:
             assert trial.verdict == "takedown"
             assert trial.duplicates_after == trial.accepted_before
         assert run_failover_chaos(config).digest() == report.digest()
+        # Pinned: a refactor of the matrix must not move a single bit.
+        assert report.digest() == "596ad3d027e05830e1ab2c3e1204aeaecbb3c2b1"
 
 
 class TestSupervisedFleet:
