@@ -28,7 +28,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.repack``    the adversary's repackaging pipeline
 ``repro.attacks``   the full adversary-analysis suite
 ``repro.corpus``    synthetic app generator + the eight named apps
-``repro.userside``  user-population simulation, aggregation, app market
+``repro.userside``  user-population simulation, app market
 ``repro.reporting`` signed detection reports: wire format, client,
                     sharded ingestion server, fleet driver, metrics
 """

@@ -41,6 +41,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.apk.io import load_apk, save_apk_with_manifest
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import NAMED_APPS, build_app, build_named_app
 from repro.crypto import RSAKeyPair
@@ -61,15 +62,6 @@ EXIT_CRASH = 4          # the VM crashed
 
 
 # ---------------------------------------------------------------------------
-# On-disk APK framing (moved to repro.apk.io; re-exported for callers)
-# ---------------------------------------------------------------------------
-
-from repro.apk.io import load_apk, save_apk, save_apk_with_manifest
-
-_save_with_manifest = save_apk_with_manifest
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -80,7 +72,7 @@ def _cmd_build(args) -> int:
         bundle = build_named_app(args.name)
     else:
         bundle = build_app(args.name, category=args.category, seed=args.seed, scale=args.scale)
-    _save_with_manifest(bundle.apk, args.out)
+    save_apk_with_manifest(bundle.apk, args.out)
     print(f"built {args.name}: {bundle.dex.instruction_count()} instructions -> {args.out}")
     print(f"developer key seed: {args.seed + 7000 if args.name not in named else 'see corpus spec'}")
     return 0
@@ -100,7 +92,7 @@ def _cmd_protect(args) -> int:
         mute_after_detection=args.mute,
     )
     result = BombDroid(config).protect(apk, key, strict=args.strict)
-    _save_with_manifest(result.apk, args.out)
+    save_apk_with_manifest(result.apk, args.out)
     print(result.report.summary())
     print(f"size increase: {result.report.size_increase:+.1%} "
           f"({result.total_seconds:.2f}s) -> {args.out}")
@@ -132,7 +124,7 @@ def _cmd_protect_batch(args) -> int:
     for outcome in result.outcomes:
         if outcome.ok:
             out_path = os.path.join(args.out, f"{outcome.name}.rapk")
-            _save_with_manifest(outcome.result.apk, out_path)
+            save_apk_with_manifest(outcome.result.apk, out_path)
             origin = "cache" if outcome.cache_hit else f"{outcome.seconds:.2f}s"
             print(f"  {outcome.name}: {outcome.result.report.total_injected} "
                   f"bomb(s) [{origin}] -> {out_path}")
@@ -301,7 +293,7 @@ def _cmd_repackage(args) -> int:
     apk = load_apk(getattr(args, "in"))
     attacker = RSAKeyPair.generate(seed=args.key_seed)
     pirated = repackage(apk, attacker)
-    _save_with_manifest(pirated, args.out)
+    save_apk_with_manifest(pirated, args.out)
     print(f"repackaged with key {attacker.public.fingerprint().hex()[:16]}... -> {args.out}")
     return 0
 
@@ -406,6 +398,20 @@ def _make_emitter(data_dir, name):
     return emit
 
 
+def _policy(args):
+    """The takedown policy of ``--threshold`` / ``--window``."""
+    from repro.reporting import TakedownPolicy
+
+    return TakedownPolicy(distinct_devices=args.threshold, window_seconds=args.window)
+
+
+def _emit_verdicts(emit, verdicts) -> None:
+    """One ``verdict for APP: ...`` line per app, in name order."""
+    for app_name, (verdict, offender) in sorted(verdicts.items()):
+        emit(f"verdict for {app_name}: {verdict.value}"
+             + (f" (key {offender})" if offender else ""))
+
+
 def _cmd_serve_reports(args) -> int:
     """Ingest signed detection reports through ReportServer.
 
@@ -416,7 +422,7 @@ def _cmd_serve_reports(args) -> int:
     """
     import signal
 
-    from repro.reporting import ReportServer, TakedownPolicy
+    from repro.reporting import ReportServer
 
     if args.key_hex:
         original_key = args.key_hex
@@ -445,9 +451,7 @@ def _cmd_serve_reports(args) -> int:
         shards=args.shards,
         queue_capacity=args.queue_capacity,
         max_report_age=args.max_age,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
         data_dir=args.data_dir,
         snapshot_every=args.snapshot_every,
     )
@@ -507,8 +511,7 @@ def _cmd_serve_reports(args) -> int:
     }
     emit("ingested: " + (", ".join(
         f"{k}={v}" for k, v in tallies.items()) or "nothing"))
-    emit(f"verdict for {args.app}: {verdict.value}"
-         + (f" (key {offender})" if offender else ""))
+    _emit_verdicts(emit, {args.app: (verdict, offender)})
     if conn_stats:
         print("\nconnections:")
         for stats in conn_stats:
@@ -565,7 +568,6 @@ def _cmd_replica(args) -> int:
     """Follow a leader's WAL stream; optionally promote on leader exit."""
     import signal
 
-    from repro.reporting import TakedownPolicy
     from repro.reporting.net import ReplicaFollower
 
     emit = _make_emitter(args.data_dir, "replica.log")
@@ -595,17 +597,13 @@ def _cmd_replica(args) -> int:
         return EXIT_FAILURE
     server = follower.promote(
         shards=args.shards or follower.shard_count,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
     )
     server.process()
     replayed = int(server.metrics.counter("wal.replayed").value)
     emit(f"promoted: {len(list(server.apps))} app(s), "
          f"{replayed} shipped WAL record(s) replayed")
-    for app_name, (verdict, offender) in sorted(server.verdicts().items()):
-        emit(f"verdict for {app_name}: {verdict.value}"
-             + (f" (key {offender})" if offender else ""))
+    _emit_verdicts(emit, server.verdicts())
     server.close()
     return 0
 
@@ -626,7 +624,6 @@ def _cmd_supervise(args) -> int:
     import signal
     import threading
 
-    from repro.reporting import TakedownPolicy
     from repro.reporting.net import ClusterSupervisor, ReplicaFollower
 
     emit = _make_emitter(args.data_dir, "supervise.log")
@@ -647,9 +644,7 @@ def _cmd_supervise(args) -> int:
         args.leader,
         [follower],
         server_kwargs=dict(
-            policy=TakedownPolicy(
-                distinct_devices=args.threshold, window_seconds=args.window
-            ),
+            policy=_policy(args),
             snapshot_every=args.snapshot_every,
         ),
         miss_threshold=args.miss_threshold,
@@ -688,9 +683,7 @@ def _cmd_supervise(args) -> int:
         verdicts = supervisor.promoted_handle.call(
             lambda s: (s.process(), s.verdicts())[1]
         )
-        for app_name, (verdict, offender) in sorted(verdicts.items()):
-            emit(f"verdict for {app_name}: {verdict.value}"
-                 + (f" (key {offender})" if offender else ""))
+        _emit_verdicts(emit, verdicts)
         supervisor.promoted_handle.stop()
         supervisor.promoted_server.close()
     else:
@@ -702,14 +695,12 @@ def _cmd_supervise(args) -> int:
 
 def _cmd_recover(args) -> int:
     """Rebuild a ReportServer from its WAL + snapshot and show verdicts."""
-    from repro.reporting import ReportServer, TakedownPolicy
+    from repro.reporting import ReportServer
 
     server = ReportServer.recover(
         args.data_dir,
         shards=args.shards,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
     )
     server.process()
     replayed = int(server.metrics.counter("wal.replayed").value)
@@ -718,9 +709,7 @@ def _cmd_recover(args) -> int:
     print(f"recovered from {args.data_dir}: "
           f"{len(list(server.apps))} app(s), {replayed} WAL records replayed, "
           f"{snapshots} snapshot(s) restored, {torn} torn record(s) discarded")
-    for app_name, (verdict, offender) in sorted(server.verdicts().items()):
-        print(f"verdict for {app_name}: {verdict.value}"
-              + (f" (key {offender})" if offender else ""))
+    _emit_verdicts(print, server.verdicts())
     server.close()
     print("\nmetrics:")
     print(server.metrics.render())
@@ -734,7 +723,6 @@ def _cmd_fleet(args) -> int:
         FleetConfig,
         OutcomeModel,
         ReportServer,
-        TakedownPolicy,
         run_fleet,
     )
     from repro.userside import Market
@@ -773,9 +761,7 @@ def _cmd_fleet(args) -> int:
         transport_failure_rate=args.transport_failure_rate,
         transport=args.transport,
         real_sessions=args.real_sessions,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
     )
     server = ReportServer(shards=config.shards, policy=config.policy)
     market = Market(seed=args.seed)

@@ -26,9 +26,9 @@ signing key back to the developer and the market acts (Sections 1,
 Metrics (counters / gauges / fixed-bucket histograms) live in the
 repo-wide :mod:`repro.metrics`.
 
-``repro.userside.aggregation`` and ``repro.userside.market`` sit on top
-of this package; the CLI surface is ``repro serve-reports`` and
-``repro fleet``.
+``repro.userside.market`` sits on top of this package (it pulls the
+listings ``ReportServer.takedown_candidates`` names); the CLI surface is
+``repro serve-reports`` and ``repro fleet``.
 """
 
 from repro.reporting.client import ReportClient, Transport

@@ -131,8 +131,8 @@ class ReportClient:
     def send_text(self, text: str, timestamp: float = 0.0) -> Optional[object]:
         """Terminate the in-VM ``android.net.report`` string channel.
 
-        Messages that do not name a key fingerprint (free-form logs)
-        are ignored rather than sent.
+        Messages that are not a ``repackaged:v1:`` report naming a key
+        fingerprint (free-form logs) are ignored rather than sent.
         """
         body = report_from_text(
             text,

@@ -67,9 +67,8 @@ RECORD_TAKEDOWN = 2
 RECORD_REGISTER = 3
 RECORD_EPOCH = 4
 
-#: Snapshot file framing.  Version 2 adds the leadership epoch after the
-#: trusted nonce; version-1 images (pre-supervision) still decode with
-#: ``epoch == 0``.
+#: Snapshot file framing.  Version 2 carries the leadership epoch;
+#: version-1 images (pre-supervision) are rejected as unsupported.
 SNAPSHOT_MAGIC = b"RSNP"
 SNAPSHOT_VERSION = 2
 SNAPSHOT_NAME = "snapshot.bin"
@@ -77,19 +76,25 @@ SNAPSHOT_NAME = "snapshot.bin"
 #: ``>I length | >I crc32`` record header.
 _HEADER = struct.Struct(">II")
 
+#: Snapshot payload head: version, clock, 8 reserved bytes (written 0,
+#: ignored on read), epoch, app count.
+_SNAPSHOT_HEAD = struct.Struct(">BdQQH")
+
 
 # ---------------------------------------------------------------------------
 # Record codec
 # ---------------------------------------------------------------------------
 
 
-def encode_report_record(
-    app_name: str, report: DetectionReport, trusted: bool
-) -> bytes:
-    """Journal payload for one accepted report."""
+def encode_report_record(app_name: str, report: DetectionReport) -> bytes:
+    """Journal payload for one accepted report.
+
+    The byte after the record type is reserved (written 0, ignored on
+    read); data dirs that set it still replay.
+    """
     return b"".join(
         (
-            struct.pack(">BB", RECORD_REPORT, 1 if trusted else 0),
+            struct.pack(">BB", RECORD_REPORT, 0),
             _pack_str(app_name),
             canonical_bytes(report),
         )
@@ -127,7 +132,7 @@ def encode_epoch_record(epoch: int) -> bytes:
 def decode_record(payload: bytes) -> Tuple:
     """Inverse of the ``encode_*_record`` family.
 
-    Returns one of ``("report", app, report, trusted)``,
+    Returns one of ``("report", app, report)``,
     ``("takedown", app, key, ts)``, ``("register", app, key)``,
     ``("epoch", epoch)``.
     """
@@ -137,9 +142,8 @@ def decode_record(payload: bytes) -> Tuple:
     if kind == RECORD_REPORT:
         if len(payload) < 2:
             raise WireError("truncated WAL report record")
-        trusted = bool(payload[1])
         app_name, offset = _unpack_str(payload, 2)
-        return ("report", app_name, _decode_body(payload[offset:]), trusted)
+        return ("report", app_name, _decode_body(payload[offset:]))
     if kind == RECORD_TAKEDOWN:
         app_name, offset = _unpack_str(payload, 1)
         key_hex, offset = _unpack_str(payload, offset)
@@ -174,7 +178,7 @@ def decode_report_body(body: bytes) -> DetectionReport:
 # (``ReportServer._snapshot_state``) and consumes
 # (``ReportServer._restore_state``)::
 #
-#     {"clock": float, "trusted_nonce": int, "apps": [
+#     {"clock": float, "epoch": int, "apps": [
 #         {"name": str, "key": str,
 #          "takedown_key": Optional[str], "takedown_ts": Optional[float],
 #          "shards": [
@@ -186,11 +190,10 @@ def decode_report_body(body: bytes) -> DetectionReport:
 def encode_snapshot(state: dict) -> bytes:
     """Deterministic binary serialization of the durable server state."""
     parts: List[bytes] = [
-        struct.pack(">B", SNAPSHOT_VERSION),
-        struct.pack(">d", state["clock"]),
-        struct.pack(">Q", state["trusted_nonce"]),
-        struct.pack(">Q", state.get("epoch", 0)),
-        struct.pack(">H", len(state["apps"])),
+        _SNAPSHOT_HEAD.pack(
+            SNAPSHOT_VERSION, state["clock"], 0, state.get("epoch", 0),
+            len(state["apps"]),
+        )
     ]
     for app in state["apps"]:
         parts.append(_pack_str(app["name"]))
@@ -230,20 +233,10 @@ def decode_snapshot(payload: bytes) -> dict:
 
 
 def _decode_snapshot(payload: bytes) -> dict:
-    if not payload or payload[0] not in (1, SNAPSHOT_VERSION):
+    if not payload or payload[0] != SNAPSHOT_VERSION:
         raise WireError("unsupported snapshot version")
-    version = payload[0]
-    offset = 1
-    (clock,) = struct.unpack_from(">d", payload, offset)
-    offset += 8
-    (trusted_nonce,) = struct.unpack_from(">Q", payload, offset)
-    offset += 8
-    epoch = 0
-    if version >= 2:
-        (epoch,) = struct.unpack_from(">Q", payload, offset)
-        offset += 8
-    (napps,) = struct.unpack_from(">H", payload, offset)
-    offset += 2
+    _, clock, _, epoch, napps = _SNAPSHOT_HEAD.unpack_from(payload)
+    offset = _SNAPSHOT_HEAD.size
     apps = []
     for _ in range(napps):
         name, offset = _unpack_str(payload, offset)
@@ -307,7 +300,6 @@ def _decode_snapshot(payload: bytes) -> dict:
         raise WireError("trailing bytes after snapshot payload")
     return {
         "clock": clock,
-        "trusted_nonce": trusted_nonce,
         "epoch": epoch,
         "apps": apps,
     }
@@ -426,12 +418,12 @@ class DurabilityLog:
     # -- appends ------------------------------------------------------------
 
     def append_report(
-        self, app_name: str, report: DetectionReport, shard_index: int,
-        trusted: bool = False,
+        self, app_name: str, report: DetectionReport, shard_index: int
     ) -> bool:
-        wal = self._shards[shard_index]
         return self._append(
-            wal, encode_report_record(app_name, report, trusted), shard_index
+            self._shards[shard_index],
+            encode_report_record(app_name, report),
+            shard_index,
         )
 
     def append_takedown(self, app_name: str, key_hex: str, ts: float) -> bool:

@@ -16,7 +16,9 @@ that a repackaged copy is circulating.  Design constraints, in order:
 * **Adversarial inputs.**  Signatures are verified (a pirate cannot
   manufacture evidence against the *developer's* key), stale reports
   are rejected as replays, and client retries are deduplicated on
-  ``(device, nonce)``.
+  ``(device, nonce)``.  A nonce outside ``[0, 2**64)`` or a non-finite
+  timestamp is malformed: the first would alias a signed report past
+  dedup, the second would pin the server clock.
 * **Backpressure, not collapse.**  ``submit`` validates and enqueues;
   ``process`` drains queues into the takedown policy.  A full queue
   drops the report and says so (``SubmitStatus.DROPPED`` plus a
@@ -202,6 +204,14 @@ class _AppState:
         self.takedown_ts: Optional[float] = None
 
 
+def _admissible(report: DetectionReport) -> bool:
+    """The signature covers the nonce only modulo 2**64 and the
+    timestamp drives the server clock: an out-of-range nonce would alias
+    an accepted report past dedup, and an infinite or NaN timestamp
+    would pin the clock and age out every later report."""
+    return 0 <= report.nonce < 1 << 64 and math.isfinite(report.timestamp)
+
+
 class ReportServer:
     """Sharded, bounded ingestion service for signed detection reports."""
 
@@ -227,7 +237,6 @@ class ReportServer:
         self.metrics = metrics or MetricsRegistry()
         self.clock = 0.0
         self._apps: Dict[str, _AppState] = {}
-        self._trusted_nonce = 0
         #: Leadership generation.  Monotonic across crashes (journaled to
         #: the meta WAL, carried by snapshots) -- a promoted follower bumps
         #: it so a fenced stale leader is recognisable by its lower epoch.
@@ -306,21 +315,19 @@ class ReportServer:
         """Validate and enqueue one report.
 
         Accepts a :class:`SignedReport`, binary frame bytes, or a JSON
-        line.  Validation order: decode, app lookup, signature,
+        line.  Validation order: decode, admission (a nonce in
+        ``[0, 2**64)`` and a finite timestamp), app lookup, signature,
         freshness, dedup, queue capacity.
         """
         self.metrics.counter("reporting.received").inc()
-        if isinstance(item, (bytes, bytearray)):
-            try:
+        try:
+            if isinstance(item, (bytes, bytearray)):
                 item = decode_report(item)
-            except WireError:
-                return self._reject("reporting.rejected_malformed", SubmitStatus.MALFORMED)
-        elif isinstance(item, str):
-            try:
+            elif isinstance(item, str):
                 item = report_from_json(item)
-            except WireError:
-                return self._reject("reporting.rejected_malformed", SubmitStatus.MALFORMED)
-        if not isinstance(item, SignedReport):
+        except WireError:
+            item = None
+        if not isinstance(item, SignedReport) or not _admissible(item.report):
             return self._reject("reporting.rejected_malformed", SubmitStatus.MALFORMED)
         app = self._apps.get(item.report.app_name)
         if app is None:
@@ -329,46 +336,7 @@ class ReportServer:
             return self._reject("reporting.rejected_forged", SubmitStatus.BAD_SIGNATURE)
         return self._admit(app, item.report)
 
-    def ingest_trusted(
-        self,
-        app_name: str,
-        *,
-        device_id: str,
-        observed_key_hex: str,
-        bomb_id: str = "",
-        timestamp: Optional[float] = None,
-        nonce: Optional[int] = None,
-    ) -> SubmitStatus:
-        """Legacy channel: ingest an already-authenticated report.
-
-        Used by :class:`repro.userside.aggregation.DetectionAggregator`,
-        which fronts the old free-form string protocol where transport
-        authentication happened out of band.  Skips signature checks but
-        shares dedup, backpressure and the takedown policy.
-        """
-        # Count before any reject, exactly like ``submit`` -- otherwise
-        # rejected trusted reports vanish from the received counter and
-        # acceptance-rate math disagrees between the two ingest paths.
-        self.metrics.counter("reporting.received").inc()
-        app = self._apps.get(app_name)
-        if app is None:
-            return self._reject("reporting.unknown_app", SubmitStatus.UNKNOWN_APP)
-        if nonce is None:
-            self._trusted_nonce += 1
-            nonce = self._trusted_nonce
-        report = DetectionReport(
-            app_name=app_name,
-            bomb_id=bomb_id,
-            device_id=device_id,
-            observed_key_hex=observed_key_hex.lower(),
-            timestamp=self.clock if timestamp is None else timestamp,
-            nonce=nonce,
-        )
-        return self._admit(app, report, trusted=True)
-
-    def _admit(
-        self, app: _AppState, report: DetectionReport, trusted: bool = False
-    ) -> SubmitStatus:
+    def _admit(self, app: _AppState, report: DetectionReport) -> SubmitStatus:
         if report.timestamp < self.clock - self.max_report_age:
             return self._reject("reporting.rejected_replayed", SubmitStatus.REPLAYED)
         if report.timestamp > self.clock:
@@ -383,9 +351,7 @@ class ReportServer:
             # Journal before mutating shard state: ACCEPTED means
             # durable.  A failed append answers DROPPED (and records no
             # nonce) so the client's retry is not misread as a duplicate.
-            if not self._durability.append_report(
-                app.name, report, shard_index, trusted=trusted
-            ):
+            if not self._durability.append_report(app.name, report, shard_index):
                 return self._reject("reporting.wal_failed", SubmitStatus.DROPPED)
         shard.remember(report.device_id, report.nonce, self.dedup_window)
         shard.queue.append(report)
@@ -425,12 +391,13 @@ class ReportServer:
                         return processed
                     report = shard.queue.popleft()
                     processed += 1
-                    if report.observed_key_hex == app.original_key_hex:
+                    # Fingerprints are hex: case carries no meaning, and
+                    # the original key was lowercased at registration.
+                    key = report.observed_key_hex.lower()
+                    if key == app.original_key_hex:
                         self.metrics.counter("reporting.original_key_reports").inc()
                         continue
-                    window, evicted = shard.window_for(
-                        report.observed_key_hex, policy.max_tracked_keys
-                    )
+                    window, evicted = shard.window_for(key, policy.max_tracked_keys)
                     if evicted:
                         self.metrics.counter("reporting.evicted_keys").inc()
                     window.add(
@@ -513,7 +480,6 @@ class ReportServer:
         """Plain-data view of the durable state (snapshot payload)."""
         return {
             "clock": self.clock,
-            "trusted_nonce": self._trusted_nonce,
             "epoch": self.epoch,
             "apps": [
                 {
@@ -544,7 +510,6 @@ class ReportServer:
         from repro.reporting.durability import decode_report_body
 
         self.clock = state["clock"]
-        self._trusted_nonce = state["trusted_nonce"]
         self.epoch = state.get("epoch", 0)
         for app_state in state["apps"]:
             if len(app_state["shards"]) != self.shard_count:
@@ -596,13 +561,11 @@ class ReportServer:
                 if epoch > self.epoch:
                     self.epoch = epoch
             else:  # report
-                _, name, report, trusted = record
+                _, name, report = record
                 app = self._apps.get(name)
                 if app is None:
                     self.metrics.counter("recovery.skipped_records").inc()
                     continue
-                if trusted and report.nonce > self._trusted_nonce:
-                    self._trusted_nonce = report.nonce
                 if report.timestamp > self.clock:
                     self.clock = report.timestamp
                 shard = app.shards[self._shard_index(report.device_id)]

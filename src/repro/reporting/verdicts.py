@@ -1,8 +1,8 @@
 """The developer's aggregated decision states.
 
-Historically exported as ``repro.userside.aggregation.AggregatedVerdict``
-(still re-exported there); the enum lives here so the report pipeline
-does not depend back on the user-side simulation package.
+:meth:`repro.reporting.ReportServer.verdict` is the one producer; the
+enum lives in its own module so the market and the fleet driver can
+name the states without importing the server.
 """
 
 from __future__ import annotations

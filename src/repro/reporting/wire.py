@@ -26,14 +26,13 @@ The module also owns the *text channel* bridging the in-VM REPORT
 response to the wire: payload bytecode emits a structured
 ``repackaged:v1:app=..:bomb=..:key=..`` string through
 ``android.net.report``; :func:`parse_report_text` recovers the fields
-from that -- or, tolerantly, from the legacy free-form strings older
-builds emitted.
+from that.  Any other string names no key: it is a log line, not a
+report.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import struct
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
@@ -275,12 +274,6 @@ def report_from_json(line: str) -> SignedReport:
 # Text channel (the in-VM `android.net.report` string)
 # ---------------------------------------------------------------------------
 
-#: Legacy free-form extraction: a run of hex immediately following
-#: ``key=``.  Key fingerprints are 40 hex chars (SHA-1); anything
-#: shorter in free text (e.g. "key=deadbeef") is not mistaken for one.
-_LEGACY_KEY_RE = re.compile(r"key=([0-9a-fA-F]{16,})")
-
-
 def format_report_text(app_name: str, bomb_id: str) -> str:
     """Structured text prefix emitted by the REPORT response bytecode.
 
@@ -294,30 +287,19 @@ def parse_report_text(text: str) -> Dict[str, str]:
     """Recover structured fields from a text-channel report.
 
     Structured ``repackaged:v1:`` messages are split into ``field=value``
-    segments.  Anything else goes through the tolerant legacy path,
-    which extracts the *last plausible fingerprint* following ``key=``
-    -- unlike the old ``rsplit("key=", 1)``, free text mentioning
-    ``key=`` does not derail it.
+    segments; ``key`` is kept only when it is a plausible fingerprint.
+    Any other text yields no fields.
     """
     fields: Dict[str, str] = {}
-    if text.startswith(TEXT_PREFIX):
-        fields["version"] = "1"
-        for segment in text[len(TEXT_PREFIX) :].split(":"):
-            name, sep, value = segment.partition("=")
-            if sep:
-                fields[name] = value
-        key = fields.get("key", "")
-        if not _is_fingerprint(key):
-            fields.pop("key", None)
+    if not text.startswith(TEXT_PREFIX):
         return fields
-    # Legacy: "repackaged:App:bomb:key=<hex>" and arbitrary free text.
-    matches = [m for m in _LEGACY_KEY_RE.findall(text) if _is_fingerprint(m)]
-    if matches:
-        fields["key"] = matches[-1].lower()
-    parts = text.split(":")
-    if len(parts) >= 4 and parts[0] == "repackaged":
-        fields.setdefault("app", parts[1])
-        fields.setdefault("bomb", parts[2])
+    fields["version"] = "1"
+    for segment in text[len(TEXT_PREFIX) :].split(":"):
+        name, sep, value = segment.partition("=")
+        if sep:
+            fields[name] = value
+    if not _is_fingerprint(fields.get("key", "")):
+        fields.pop("key", None)
     return fields
 
 

@@ -3,8 +3,11 @@
 The defense's power comes from difference D1/D2: thousands of diverse
 devices playing every corner of the app.  This package simulates that
 population -- play sessions on sampled devices (Table 3's time-to-first
--trigger), and the aggregation channel (ratings, developer reports,
-market takedown) of Section 4.2.
+-trigger) -- and the app market of Section 4.2 (ratings, downloads,
+takedowns, remote removal).  Developer reports reach a verdict through
+one path: a :class:`repro.reporting.ReportClient` per device, signing
+into a :class:`repro.reporting.ReportServer`, whose takedown candidates
+:meth:`Market.process_server_takedowns` acts on.
 """
 
 from repro.userside.simulation import (
@@ -12,15 +15,12 @@ from repro.userside.simulation import (
     simulate_first_triggers,
     population_trigger_fraction,
 )
-from repro.userside.aggregation import DetectionAggregator, AggregatedVerdict
 from repro.userside.market import Market, Listing, InstallRecord
 
 __all__ = [
     "FirstTriggerStats",
     "simulate_first_triggers",
     "population_trigger_fraction",
-    "DetectionAggregator",
-    "AggregatedVerdict",
     "Market",
     "Listing",
     "InstallRecord",

@@ -21,9 +21,9 @@ fleet driver, tests) can thread their own seeded stream through and get
 reproducible runs end to end -- nothing touches the module-level
 ``random`` state.
 
-Takedowns come either from a legacy :class:`DetectionAggregator` or
-straight from a :class:`repro.reporting.ReportServer`'s sliding-window
-verdicts (``process_server_takedowns``).
+Takedowns come from a :class:`repro.reporting.ReportServer`'s
+sliding-window verdicts (``process_server_takedowns``): the server
+decides on signed device reports, the market acts.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.apk.package import Apk
-from repro.reporting.verdicts import AggregatedVerdict
-from repro.userside.aggregation import DetectionAggregator
 
 
 @dataclass
@@ -162,20 +160,6 @@ class Market:
         listing.rating_count += count
 
     # -- enforcement --------------------------------------------------------
-
-    def process_takedown_request(
-        self, aggregator: DetectionAggregator
-    ) -> Optional[Listing]:
-        """Act on a developer's aggregated evidence.
-
-        When the verdict is TAKEDOWN and the offending key has a live
-        listing, pull it and remotely remove it from every device that
-        installed it.  Returns the pulled listing, if any.
-        """
-        verdict, offender_key = aggregator.verdict()
-        if verdict is not AggregatedVerdict.TAKEDOWN:
-            return None
-        return self._take_down(offender_key)
 
     def process_server_takedowns(self, server) -> List[Listing]:
         """Pull every listing a :class:`ReportServer` has evidence against.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import load_apk, main, save_apk
+from repro.apk.io import load_apk, save_apk, save_apk_with_manifest
+from repro.cli import main
 from repro.vm.sessions import SessionEngine
 
 
@@ -93,7 +94,6 @@ def test_lint_subcommand(workdir, capsys):
 
 def test_lint_subcommand_flags_violations(workdir, capsys):
     from repro.apk import Resources, build_apk
-    from repro.cli import _save_with_manifest
     from repro.crypto import RSAKeyPair
     from repro.dex import assemble
 
@@ -104,7 +104,7 @@ def test_lint_subcommand_flags_violations(workdir, capsys):
     apk = build_apk(dex, Resources(strings={"app_name": "A"}),
                     RSAKeyPair.generate(seed=77))
     path = str(workdir / "leaky.rapk")
-    _save_with_manifest(apk, path)
+    save_apk_with_manifest(apk, path)
 
     assert main(["lint", "--in", path]) == 1
     out = capsys.readouterr().out
@@ -127,9 +127,8 @@ def test_lint_list_rules(capsys):
 
 def test_apk_file_roundtrip(workdir, small_apk):
     path = str(workdir / "x.rapk")
-    from repro.cli import _save_with_manifest
 
-    _save_with_manifest(small_apk, path)
+    save_apk_with_manifest(small_apk, path)
     restored = load_apk(path)
     restored.verify()
     assert restored.entries["classes.dex"] == small_apk.entries["classes.dex"]
@@ -186,19 +185,18 @@ def test_recover_missing_dir_fails(workdir, capsys):
 
 def _naive_apk_file(workdir):
     """A naive-protected corpus app saved to disk, plus its clean twin."""
-    from repro.cli import _save_with_manifest
     from repro.core.naive import NaiveProtector
     from repro.corpus import build_app
     from repro.crypto import RSAKeyPair
 
     bundle = build_app("CliDetect", seed=3, scale=0.2)
     clean = str(workdir / "clean.rapk")
-    _save_with_manifest(bundle.apk, clean)
+    save_apk_with_manifest(bundle.apk, clean)
     naive, _ = NaiveProtector(seed=1).protect(
         bundle.apk, RSAKeyPair.generate(seed=77)
     )
     naive_path = str(workdir / "naive.rapk")
-    _save_with_manifest(naive, naive_path)
+    save_apk_with_manifest(naive, naive_path)
     return clean, naive_path
 
 
@@ -265,7 +263,6 @@ def test_lint_format_sarif(workdir, capsys):
     import json
 
     from repro.apk import Resources, build_apk
-    from repro.cli import _save_with_manifest
     from repro.crypto import RSAKeyPair
     from repro.dex import assemble
 
@@ -276,7 +273,7 @@ def test_lint_format_sarif(workdir, capsys):
     apk = build_apk(dex, Resources(strings={"app_name": "A"}),
                     RSAKeyPair.generate(seed=77))
     path = str(workdir / "leaky.rapk")
-    _save_with_manifest(apk, path)
+    save_apk_with_manifest(apk, path)
 
     assert main(["lint", "--in", path, "--format", "sarif"]) == 1
     sarif = json.loads(capsys.readouterr().out)

@@ -1,14 +1,15 @@
 """The full paper story as one integration test per act."""
 
+import math
+
 import pytest
 
 from repro import BombDroid, BombDroidConfig, build_named_app, repackage
 from repro.attacks import FuzzingAttack, SymbolicAttack
 from repro.crypto import RSAKeyPair
-from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.userside import DetectionAggregator, AggregatedVerdict
-from repro.vm import DevicePopulation, Runtime
+from repro.reporting import AggregatedVerdict, ReportClient, ReportServer, TakedownPolicy
+from repro.vm import DevicePopulation, PlaySession, Runtime
 
 
 @pytest.fixture(scope="module")
@@ -58,32 +59,28 @@ def test_act2_attacker_analysis_stalls(story):
 
 def test_act3_users_catch_the_pirate(story):
     bundle, _, report, attacker, pirated = story
-    aggregator = DetectionAggregator(
-        app_name=bundle.name,
-        original_key_hex=bundle.developer_key.public.fingerprint().hex(),
-        report_threshold=1,
+    # Device clocks are days apart: freshness and the window are unbounded.
+    server = ReportServer(
+        shards=2,
+        max_report_age=math.inf,
+        policy=TakedownPolicy(distinct_devices=1, window_seconds=math.inf),
     )
+    server.register_app(bundle.name, bundle.developer_key.public.fingerprint().hex())
+    attestation = RSAKeyPair.generate(seed=41)
     population = DevicePopulation(seed=4)
     detections = 0
     for index in range(8):
-        runtime = Runtime(
-            pirated.dex(),
-            device=population.sample(),
-            package=pirated.install_view(),
-            seed=index,
+        device = population.sample()
+        client = ReportClient(
+            lambda signed: server.submit(signed), attestation, device.label, seed=index
         )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(pirated.dex(), seed=index).stream(1500):
-            try:
-                runtime.dispatch(event)
-            except VMError:
-                pass
-        detections += bool(runtime.detections)
-        aggregator.ingest_session(runtime)
+        outcome = PlaySession(
+            pirated.dex(), device, package=pirated.install_view(),
+            seed=index, report_client=client,
+        ).play(DynodroidGenerator(pirated.dex(), seed=index).stream(1500))
+        detections += bool(outcome.detections)
     assert detections >= 2
-    verdict, key = aggregator.verdict()
+    server.process()
+    verdict, key = server.verdict(bundle.name)
     if verdict is not AggregatedVerdict.CLEAN:
         assert key == attacker.public.fingerprint().hex()

@@ -29,6 +29,38 @@ from repro.reporting.durability import (
 ORIGINAL = "aa" * 20
 PIRATE = "bb" * 20
 
+#: On-disk bytes of the pinned scenario in ``TestOnDiskBytes`` (shard
+#: WAL, meta WAL, snapshot file).  Any change here breaks existing data
+#: dirs and mixed-version replication.
+WAL_HEX = (
+    "0000005fe2b4a5500100000447616d6501000447616d65000462303031000264"
+    "3100286262626262626262626262626262626262626262626262626262626262"
+    "6262626262626262626262000a7075626c69635f6b6579402900000000000000"
+    "0000000000004d0000005fdffbfbea0100000447616d6501000447616d650004"
+    "6230303100026432002862626262626262626262626262626262626262626262"
+    "626262626262626262626262626262626262000a7075626c69635f6b6579402a"
+    "000000000000000000000000004e"
+)
+META_HEX = (
+    "0000003168b1aded03000447616d650028616161616161616161616161616161"
+    "6161616161616161616161616161616161616161616161616100000039007f94"
+    "cd02000447616d65002862626262626262626262626262626262626262626262"
+    "626262626262626262626262626262626262402900000000000000000009cce2"
+    "7534040000000000000001"
+)
+SNAPSHOT_HEX = (
+    "52534e5002402a00000000000000000000000000000000000000000001000100"
+    "0447616d65002861616161616161616161616161616161616161616161616161"
+    "6161616161616161616161616161610100286262626262626262626262626262"
+    "6262626262626262626262626262626262626262626262626262402900000000"
+    "000000010000000200026431000000000000004d00026432000000000000004e"
+    "000000010000005701000447616d650004623030310002643200286262626262"
+    "6262626262626262626262626262626262626262626262626262626262626262"
+    "626262000a7075626c69635f6b6579402a000000000000000000000000004e00"
+    "0100286262626262626262626262626262626262626262626262626262626262"
+    "62626262626262626262620000000140290000000000000002643113a93faa"
+)
+
 
 @pytest.fixture(scope="module")
 def attest_key():
@@ -67,11 +99,13 @@ class TestRecordCodec:
             app_name="Game", bomb_id="b007", device_id="dev-9",
             observed_key_hex=PIRATE, timestamp=12.5, nonce=77,
         )
-        for trusted in (False, True):
-            payload = encode_report_record("Game", report, trusted)
-            kind, app, decoded, got_trusted = decode_record(payload)
-            assert (kind, app, got_trusted) == ("report", "Game", trusted)
-            assert decoded == report
+        payload = encode_report_record("Game", report)
+        assert payload[1] == 0  # reserved byte
+        assert decode_record(payload) == ("report", "Game", report)
+        # The reserved byte is ignored on read: records journaled with
+        # it set (older data dirs) replay as ordinary reports.
+        flagged = payload[:1] + b"\x01" + payload[2:]
+        assert decode_record(flagged) == ("report", "Game", report)
 
     def test_takedown_and_register_records_roundtrip(self):
         assert decode_record(encode_takedown_record("Game", PIRATE, 42.0)) == (
@@ -88,6 +122,31 @@ class TestRecordCodec:
             decode_record(b"\xff rest")
         with pytest.raises(WireError):
             decode_record(encode_takedown_record("Game", PIRATE, 1.0)[:-3])
+
+
+class TestOnDiskBytes:
+    def test_wal_and_snapshot_bytes_pinned(self, attest_key, tmp_path):
+        """The journal and snapshot formats are frozen: existing data
+        dirs must stay readable and replicas must agree byte for byte."""
+        data_dir = tmp_path / "state"
+        server = ReportServer(
+            data_dir=str(data_dir), shards=1,
+            policy=TakedownPolicy(distinct_devices=1),
+        )
+        server.register_app("Game", ORIGINAL)
+        server.submit(make_signed(attest_key, device="d1", ts=12.5, nonce=77))
+        server.process()
+        assert server.verdict("Game")[0] is AggregatedVerdict.TAKEDOWN
+        server.bump_epoch()
+        # Left in the queue, so the snapshot carries a report body too.
+        server.submit(make_signed(attest_key, device="d2", ts=13.0, nonce=78))
+        wal = (data_dir / "wal-000.log").read_bytes()
+        meta = (data_dir / "wal-meta.log").read_bytes()
+        server.close()
+        snapshot = (data_dir / "snapshot.bin").read_bytes()
+        assert wal.hex() == WAL_HEX
+        assert meta.hex() == META_HEX
+        assert snapshot.hex() == SNAPSHOT_HEX
 
 
 class TestSnapshotCodec:
@@ -165,21 +224,6 @@ class TestCrashRecover:
         assert counter(recovered, "reporting.takedowns") == 0
         recovered.close()
 
-    def test_trusted_nonce_continuity(self, tmp_path):
-        data_dir = str(tmp_path / "state")
-        server = make_server(data_dir)
-        assert server.ingest_trusted(
-            "Game", device_id="agg-1", observed_key_hex=PIRATE
-        ) is SubmitStatus.ACCEPTED
-        server.crash()
-
-        recovered = ReportServer.recover(data_dir, shards=4)
-        # The auto-nonce sequence resumes past the replayed report; a
-        # reset would collide with agg-1's journaled nonce.
-        assert recovered.ingest_trusted(
-            "Game", device_id="agg-1", observed_key_hex=PIRATE
-        ) is SubmitStatus.ACCEPTED
-        recovered.close()
 
 
 class TestCrashAtEveryOffset:
@@ -367,17 +411,16 @@ class TestEpochPersistence:
         assert state["epoch"] == 2
         assert decode_snapshot(encode_snapshot(state)) == state
 
-    def test_v1_snapshot_still_decodes_with_epoch_zero(self):
+    def test_v1_snapshot_rejected_as_unsupported(self):
         # A pre-epoch (version 1) snapshot is the v2 payload minus the
-        # trailing 8-byte epoch, with the version byte rolled back.
+        # 8-byte epoch, with the version byte rolled back.
         server = make_server()
         payload = bytearray(encode_snapshot(server._snapshot_state()))
         assert payload[0] == 2
-        # v2 layout: version | >d clock | >Q trusted_nonce | >Q epoch | apps
+        # v2 layout: version | >d clock | >Q reserved | >Q epoch | apps
         v1 = bytes([1]) + bytes(payload[1:17]) + bytes(payload[25:])
-        state = decode_snapshot(v1)
-        assert state["epoch"] == 0
-        assert state["apps"] == server._snapshot_state()["apps"]
+        with pytest.raises(WireError, match="unsupported snapshot version"):
+            decode_snapshot(v1)
 
     def test_bump_epoch_survives_crash_recovery(self, attest_key, tmp_path):
         data_dir = str(tmp_path / "state")

@@ -77,19 +77,7 @@ class TestSubmitValidation:
         status = server.submit(make_signed(attest_key, app="NotMine"))
         assert status is SubmitStatus.UNKNOWN_APP
         assert server.metrics.counter("reporting.unknown_app").value == 1
-
-    def test_trusted_unknown_app_counts_received_like_submit(self, attest_key):
-        server = make_server()
-        status = server.ingest_trusted(
-            "NotMine", device_id="agg-1", observed_key_hex=PIRATE
-        )
-        assert status is SubmitStatus.UNKNOWN_APP
-        # Both ingest paths must count the attempt, or acceptance-rate
-        # math diverges between them.
         assert server.metrics.counter("reporting.received").value == 1
-        server.submit(make_signed(attest_key, app="NotMine"))
-        assert server.metrics.counter("reporting.received").value == 2
-        assert server.metrics.counter("reporting.unknown_app").value == 2
 
     def test_duplicate_nonce_dropped(self, attest_key):
         server = make_server()
@@ -108,6 +96,47 @@ class TestSubmitValidation:
         stale = make_signed(attest_key, device="d2", ts=300.0, nonce=2)
         assert server.submit(stale) is SubmitStatus.REPLAYED
         assert server.metrics.counter("reporting.rejected_replayed").value == 1
+
+    def test_nonce_outside_64_bits_is_malformed(self, attest_key):
+        # The signature covers the nonce modulo 2**64, so an aliased
+        # nonce carries a valid signature: it must not pass dedup.
+        server = make_server()
+        signed = make_signed(attest_key, device="d1", nonce=5)
+        line = report_to_json(signed)
+        statuses = [server.submit(line), server.submit(line)]
+        for alias in (5 + 2**64, 5 - 2**64):
+            statuses.append(server.submit(line.replace('"nonce": 5', f'"nonce": {alias}')))
+            aliased = dataclasses.replace(
+                signed, report=dataclasses.replace(signed.report, nonce=alias)
+            )
+            assert aliased.verify()
+            statuses.append(server.submit(aliased))
+        assert statuses == [
+            SubmitStatus.ACCEPTED, SubmitStatus.DUPLICATE,
+            SubmitStatus.MALFORMED, SubmitStatus.MALFORMED,
+            SubmitStatus.MALFORMED, SubmitStatus.MALFORMED,
+        ]
+        assert server.metrics.counter("reporting.accepted").value == 1
+        assert server.metrics.counter("reporting.rejected_malformed").value == 4
+
+    @pytest.mark.parametrize("ts", [float("inf"), float("-inf")])
+    def test_infinite_timestamp_is_malformed(self, attest_key, ts):
+        server = make_server()
+        signed = make_signed(attest_key, device="d1", ts=ts)
+        for item in (signed, encode_report(signed), report_to_json(signed)):
+            assert server.submit(item) is SubmitStatus.MALFORMED
+        assert server.clock == 0.0
+        # The clock is not pinned: a later honest report still lands.
+        later = make_signed(attest_key, device="d2", ts=10.0, nonce=2)
+        assert server.submit(later) is SubmitStatus.ACCEPTED
+
+    def test_nan_timestamp_is_malformed(self, attest_key):
+        server = make_server()
+        signed = make_signed(attest_key, device="d1", ts=float("nan"))
+        for item in (signed, encode_report(signed), report_to_json(signed)):
+            assert server.submit(item) is SubmitStatus.MALFORMED
+        assert server.metrics.counter("reporting.rejected_malformed").value == 3
+        assert server.metrics.counter("reporting.accepted").value == 0
 
 
 class TestBackpressure:
@@ -182,6 +211,22 @@ class TestSlidingWindow:
         server.process()
         assert server.verdict("Game")[0] is AggregatedVerdict.CLEAN
         assert server.metrics.counter("reporting.original_key_reports").value == 1
+
+    def test_key_case_is_not_evidence(self, attest_key):
+        # Fingerprints are hex: the developer's own key in uppercase is
+        # still the original, and a pirate key counts once per device
+        # whatever its case.
+        server = make_server(policy=self._policy())
+        for i in range(3):
+            server.submit(make_signed(attest_key, device=f"d{i}",
+                                      key=ORIGINAL.upper(), nonce=i))
+        server.process()
+        assert server.verdict("Game") == (AggregatedVerdict.CLEAN, "")
+        assert server.metrics.counter("reporting.original_key_reports").value == 3
+        for i, key in enumerate((PIRATE, PIRATE.upper(), PIRATE.upper())):
+            server.submit(make_signed(attest_key, device=f"p{i}", key=key, nonce=i))
+        server.process()
+        assert server.verdict("Game") == (AggregatedVerdict.TAKEDOWN, PIRATE)
 
     def test_tie_breaks_deterministically(self, attest_key):
         server = make_server(policy=self._policy(distinct_devices=5))

@@ -125,15 +125,16 @@ class TestTextChannel:
         assert fields["key"] == KEY_A
 
     def test_legacy_colon_format(self):
-        fields = parse_report_text(f"repackaged:Game:b001:key={KEY_A}")
-        assert fields["key"] == KEY_A
-        assert fields["app"] == "Game"
-        assert fields["bomb"] == "b001"
+        # Only the structured ``repackaged:v1:`` channel is parsed; the
+        # pre-v1 colon format is a log line.
+        text = f"repackaged:Game:b001:key={KEY_A}"
+        assert parse_report_text(text) == {}
+        assert report_from_text(text, device_id="d") is None
 
     def test_free_text_with_decoy_key_equals(self):
-        # The old rsplit("key=", 1) would have grabbed "deadbeef is".
+        # Free text names no key, even when a fingerprint follows key=.
         text = f"warning: cache key=deadbeef is stale; cert key={KEY_B} observed"
-        assert parse_report_text(text)["key"] == KEY_B
+        assert parse_report_text(text) == {}
 
     def test_free_text_without_fingerprint_yields_no_key(self):
         assert "key" not in parse_report_text("retry with key=deadbeef")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apk.io import save_apk
 from repro.attacks import (
     AdaptiveStripperAttack,
     DebuggerAttack,
@@ -23,7 +24,7 @@ from repro.attacks import (
     VTableHijackAttack,
 )
 from repro.chaos.harness import ChaosConfig, run_chaos
-from repro.cli import main, save_apk
+from repro.cli import main
 from repro.core import SSNConfig, SSNProtector
 from repro.crypto import sha1_hex
 from repro.userside import population_trigger_fraction, simulate_first_triggers

@@ -1,14 +1,53 @@
-"""User-side simulation and aggregation."""
+"""User-side simulation, and device reports reaching a verdict."""
+
+import math
 
 import pytest
 
-from repro.userside import (
+from repro.crypto import RSAKeyPair
+from repro.reporting import (
     AggregatedVerdict,
-    DetectionAggregator,
-    FirstTriggerStats,
-    simulate_first_triggers,
+    ReportClient,
+    ReportServer,
+    TakedownPolicy,
+    format_report_text,
 )
-from repro.vm import DevicePopulation, PlaySession, Runtime
+from repro.userside import FirstTriggerStats, Market, simulate_first_triggers
+from repro.vm import DevicePopulation, PlaySession
+
+ORIGINAL = "aa" * 20
+
+
+@pytest.fixture(scope="module")
+def attestation():
+    return RSAKeyPair.generate(seed=41)
+
+
+def make_server(original=ORIGINAL, threshold=3):
+    """A developer backend that counts every report it ever accepts
+    (device clocks are days apart, so freshness is unbounded)."""
+    server = ReportServer(
+        shards=2,
+        max_report_age=math.inf,
+        policy=TakedownPolicy(distinct_devices=threshold, window_seconds=math.inf),
+    )
+    server.register_app("Game", original)
+    return server
+
+
+def client_for(server, attestation, device_id, seed=0):
+    return ReportClient(
+        lambda signed: server.submit(signed), attestation, device_id, seed=seed
+    )
+
+
+def report_text(key, bomb="b001"):
+    return format_report_text("Game", bomb) + key
+
+
+def verdict_after(server):
+    server.process()
+    return server.verdict("Game")
 
 
 class TestFirstTrigger:
@@ -41,124 +80,120 @@ class TestFirstTrigger:
 
 
 class TestAggregation:
-    def _aggregator(self):
-        return DetectionAggregator(
-            app_name="Game", original_key_hex="aa" * 20, report_threshold=3
-        )
+    """Signed device reports through ``ReportClient -> ReportServer``."""
+
+    def _send(self, server, attestation, *keys):
+        """Each key is reported by its own device."""
+        for index, key in enumerate(keys):
+            client_for(server, attestation, f"dev-{index}").send_text(report_text(key))
 
     def test_clean_when_no_reports(self):
-        verdict, key = self._aggregator().verdict()
+        verdict, key = verdict_after(make_server())
         assert verdict is AggregatedVerdict.CLEAN
+        assert key == ""
 
-    def test_reports_of_original_key_ignored(self):
-        agg = self._aggregator()
-        agg.ingest_report(f"repackaged:Game:b001:key={'aa' * 20}")
-        assert agg.verdict()[0] is AggregatedVerdict.CLEAN
+    def test_reports_of_original_key_ignored(self, attestation):
+        server = make_server(threshold=1)
+        self._send(server, attestation, ORIGINAL)
+        assert verdict_after(server)[0] is AggregatedVerdict.CLEAN
 
-    def test_suspect_below_threshold(self):
-        agg = self._aggregator()
-        agg.ingest_report(f"repackaged:Game:b001:key={'bb' * 20}")
-        verdict, key = agg.verdict()
-        assert verdict is AggregatedVerdict.SUSPECT
-        assert key == "bb" * 20
+    def test_suspect_below_threshold(self, attestation):
+        server = make_server()
+        self._send(server, attestation, "bb" * 20)
+        assert verdict_after(server) == (AggregatedVerdict.SUSPECT, "bb" * 20)
 
-    def test_takedown_at_threshold(self):
-        agg = self._aggregator()
-        for _ in range(3):
-            agg.ingest_report(f"repackaged:Game:b001:key={'bb' * 20}")
-        verdict, key = agg.verdict()
-        assert verdict is AggregatedVerdict.TAKEDOWN
-        assert key == "bb" * 20
+    def test_takedown_at_threshold(self, attestation):
+        server = make_server()
+        self._send(server, attestation, *["bb" * 20] * 3)
+        assert verdict_after(server) == (AggregatedVerdict.TAKEDOWN, "bb" * 20)
+        # Three reports from one session are one device's vote.
+        server = make_server()
+        client = client_for(server, attestation, "dev-0")
+        for bomb in ("b001", "b002", "b003"):
+            client.send_text(report_text("bb" * 20, bomb))
+        assert server.metrics.counter("reporting.accepted").value == 3
+        assert verdict_after(server) == (AggregatedVerdict.SUSPECT, "bb" * 20)
 
-    def test_majority_key_wins(self):
-        agg = self._aggregator()
-        agg.ingest_report(f"r:key={'cc' * 20}")
-        for _ in range(4):
-            agg.ingest_report(f"r:key={'bb' * 20}")
-        assert agg.verdict()[1] == "bb" * 20
+    def test_majority_key_wins(self, attestation):
+        server = make_server()
+        self._send(server, attestation, "cc" * 20, *["bb" * 20] * 4)
+        assert verdict_after(server) == (AggregatedVerdict.TAKEDOWN, "bb" * 20)
 
-    def test_tie_breaks_on_key_not_insertion_order(self):
-        # Equal counts: the lexicographically greatest fingerprint wins,
-        # whichever order the reports arrived in.
+    def test_tie_breaks_on_key_not_insertion_order(self, attestation):
+        # Equal device counts: the lexicographically greatest fingerprint
+        # wins, whichever order the reports arrived in.
         for first, second in (("bb" * 20, "cc" * 20), ("cc" * 20, "bb" * 20)):
-            agg = self._aggregator()
-            agg.ingest_report(f"r:key={first}")
-            agg.ingest_report(f"r:key={second}")
-            assert agg.verdict()[1] == "cc" * 20
+            server = make_server()
+            self._send(server, attestation, first, second)
+            assert verdict_after(server)[1] == "cc" * 20
 
-    def test_free_text_mentioning_key_equals_not_derailed(self):
-        # The old rsplit("key=", 1) would have extracted "deadbeef and"
-        # from this and missed the real fingerprint entirely.
-        agg = self._aggregator()
-        agg.ingest_report(
+    def test_free_text_mentioning_key_equals_not_derailed(self, attestation):
+        # Free text is a log line, not a report, even when it names a
+        # fingerprint: nothing is sent and the verdict stays CLEAN.
+        server = make_server(threshold=1)
+        client = client_for(server, attestation, "dev-0")
+        status = client.send_text(
             f"user note: my api key=deadbeef and then key={'bb' * 20} showed up"
         )
-        verdict, key = agg.verdict()
-        assert verdict is AggregatedVerdict.SUSPECT
-        assert key == "bb" * 20
+        assert status is None
+        assert server.metrics.counter("reporting.received").value == 0
+        assert verdict_after(server)[0] is AggregatedVerdict.CLEAN
 
-    def test_free_text_without_fingerprint_is_noise(self):
-        agg = self._aggregator()
-        agg.ingest_report("crash log: cache key=beef expired")
-        assert agg.verdict()[0] is AggregatedVerdict.CLEAN
+    def test_free_text_without_fingerprint_is_noise(self, attestation):
+        server = make_server(threshold=1)
+        client_for(server, attestation, "dev-0").send_text("crash log: cache key=beef expired")
+        assert verdict_after(server)[0] is AggregatedVerdict.CLEAN
 
-    def test_structured_wire_prefix_parses(self):
-        agg = self._aggregator()
+    def test_structured_wire_prefix_parses(self, attestation):
+        server = make_server()
         for i in range(3):
-            agg.ingest_report(f"repackaged:v1:app=Game:bomb=b{i}:key={'dd' * 20}")
-        assert agg.verdict() == (AggregatedVerdict.TAKEDOWN, "dd" * 20)
+            client = client_for(server, attestation, f"dev-{i}")
+            client.send_text(f"repackaged:v1:app=Game:bomb=b{i}:key={'dd' * 20}")
+        assert verdict_after(server) == (AggregatedVerdict.TAKEDOWN, "dd" * 20)
 
     def test_ratings_drop_with_bad_experience(self, pirated_apk):
-        agg = self._aggregator()
-        runtime = Runtime(
-            pirated_apk.dex(),
-            package=pirated_apk.install_view(),
-            seed=1,
+        market = Market(seed=1)
+        listing = market.publish("Game", pirated_apk)
+        population = DevicePopulation(seed=5)
+        hit = PlaySession(
+            pirated_apk.dex(), population.sample(),
+            package=pirated_apk.install_view(), seed=1,
         )
-        runtime.detections.append("b001")  # a session that hit a bomb
-        agg.ingest_session(runtime)
-        clean_runtime = Runtime(
-            pirated_apk.dex(), package=pirated_apk.install_view(), seed=2
+        hit.runtime.detections.append("b001")  # a session that hit a bomb
+        clean = PlaySession(
+            pirated_apk.dex(), population.sample(),
+            package=pirated_apk.install_view(), seed=2,
         )
-        agg.ingest_session(clean_runtime)
-        assert agg.ratings == [1, 5]
-        assert agg.average_rating == 3.0
+        for outcome in (hit.outcome(), clean.outcome()):
+            market.rate(listing, 1 if outcome.bad_experience else 5)
+        assert listing.rating_count == 2
+        assert listing.average_rating == 3.0
 
-    def test_end_to_end_aggregation(self, pirated_apk, attacker_key, developer_key):
+    def test_end_to_end_aggregation(
+        self, pirated_apk, attacker_key, developer_key, attestation
+    ):
         """Diverse users play the pirated app; REPORT responses flow to
         the developer, who reaches a takedown verdict naming the
         attacker's key."""
-        from repro.errors import VMError
         from repro.fuzzing import DynodroidGenerator
 
-        agg = DetectionAggregator(
-            app_name="Game",
-            original_key_hex=developer_key.public.fingerprint().hex(),
-            report_threshold=2,
-        )
+        server = make_server(developer_key.public.fingerprint().hex(), threshold=2)
+        market = Market(seed=9)
+        listing = market.publish("Game", pirated_apk)
         population = DevicePopulation(seed=9)
         any_detection = False
         for index in range(10):
-            runtime = Runtime(
-                pirated_apk.dex(),
-                device=population.sample(),
-                package=pirated_apk.install_view(),
+            device = population.sample()
+            outcome = PlaySession(
+                pirated_apk.dex(), device, package=pirated_apk.install_view(),
                 seed=index,
-            )
-            try:
-                runtime.boot()
-            except VMError:
-                pass
-            for event in DynodroidGenerator(pirated_apk.dex(), seed=index).stream(400):
-                try:
-                    runtime.dispatch(event)
-                except VMError:
-                    pass
-            any_detection = any_detection or bool(runtime.detections)
-            agg.ingest_session(runtime)
-        verdict, key = agg.verdict()
+                report_client=client_for(server, attestation, device.label, index),
+            ).play(DynodroidGenerator(pirated_apk.dex(), seed=index).stream(400))
+            any_detection = any_detection or bool(outcome.detections)
+            market.rate(listing, 1 if outcome.bad_experience else 5)
+        verdict, key = verdict_after(server)
         if verdict is not AggregatedVerdict.CLEAN:
             # Reports can only ever name the attacker's key.
             assert key == attacker_key.public.fingerprint().hex()
         if any_detection:
-            assert agg.average_rating < 5.0
+            assert listing.average_rating < 5.0

@@ -2,12 +2,40 @@
 
 import pytest
 
-from repro.userside import AggregatedVerdict, DetectionAggregator, Market
+from repro.crypto import RSAKeyPair
+from repro.reporting import (
+    AggregatedVerdict,
+    DetectionReport,
+    ReportServer,
+    TakedownPolicy,
+    sign_report,
+)
+from repro.userside import Market
 
 
 @pytest.fixture()
 def market():
     return Market(seed=5)
+
+
+@pytest.fixture(scope="module")
+def attestation():
+    return RSAKeyPair.generate(seed=41)
+
+
+def server_with_reports(developer_key, attestation, threshold, keys):
+    """A developer backend holding one signed report per key, each from
+    its own device."""
+    server = ReportServer(shards=2, policy=TakedownPolicy(distinct_devices=threshold))
+    server.register_app("Game", developer_key.public.fingerprint().hex())
+    for index, key in enumerate(keys):
+        report = DetectionReport(
+            app_name="Game", bomb_id=f"b{index:03d}", device_id=f"d{index}",
+            observed_key_hex=key, nonce=index,
+        )
+        server.submit(sign_report(report, attestation))
+    server.process()
+    return server
 
 
 def test_publish_and_download(market, small_apk):
@@ -41,25 +69,21 @@ def test_rating_bounds(market, small_apk):
         market.rate(listing, 6)
 
 
-def test_takedown_removes_remotely(market, small_apk, pirated_apk, attacker_key, developer_key):
+def test_takedown_removes_remotely(
+    market, small_apk, pirated_apk, attacker_key, developer_key, attestation
+):
     pirated_listing = market.publish("Game (free!)", pirated_apk)
     for index in range(40):
         market.download(f"victim-{index}", pirated_listing)
     installed_before = market.active_installs(pirated_listing)
     assert installed_before > 0
 
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=2,
-    )
     offender = attacker_key.public.fingerprint().hex()
-    aggregator.ingest_report(f"repackaged:Game:b001:key={offender}")
-    aggregator.ingest_report(f"repackaged:Game:b002:key={offender}")
-    assert aggregator.verdict()[0] is AggregatedVerdict.TAKEDOWN
+    server = server_with_reports(developer_key, attestation, 2, [offender] * 2)
+    assert server.verdict("Game") == (AggregatedVerdict.TAKEDOWN, offender)
 
-    pulled = market.process_takedown_request(aggregator)
-    assert pulled is pirated_listing
+    pulled = market.process_server_takedowns(server)
+    assert pulled == [pirated_listing]
     assert pirated_listing.taken_down
     # Remote Application Removal: every install wiped.
     assert market.active_installs(pirated_listing) == 0
@@ -67,25 +91,20 @@ def test_takedown_removes_remotely(market, small_apk, pirated_apk, attacker_key,
     assert market.download("late-user", pirated_listing) is None
 
 
-def test_takedown_needs_matching_listing(market, small_apk, developer_key):
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=1,
-    )
-    aggregator.ingest_report(f"r:key={'cc' * 20}")
-    assert market.process_takedown_request(aggregator) is None
+def test_takedown_needs_matching_listing(market, small_apk, developer_key, attestation):
+    server = server_with_reports(developer_key, attestation, 1, ["cc" * 20])
+    assert server.verdict("Game")[0] is AggregatedVerdict.TAKEDOWN
+    assert market.process_server_takedowns(server) == []
 
 
-def test_suspect_verdict_takes_no_action(market, pirated_apk, attacker_key, developer_key):
+def test_suspect_verdict_takes_no_action(
+    market, pirated_apk, attacker_key, developer_key, attestation
+):
     listing = market.publish("Game (free!)", pirated_apk)
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=5,
-    )
-    aggregator.ingest_report(f"r:key={attacker_key.public.fingerprint().hex()}")
-    assert market.process_takedown_request(aggregator) is None
+    offender = attacker_key.public.fingerprint().hex()
+    server = server_with_reports(developer_key, attestation, 5, [offender])
+    assert server.verdict("Game")[0] is AggregatedVerdict.SUSPECT
+    assert market.process_server_takedowns(server) == []
     assert not listing.taken_down
 
 
@@ -137,17 +156,13 @@ def test_rate_batch_matches_individual_ratings(market, small_apk):
         market.rate_batch(listing, 3, -1)
 
 
-def test_server_takedown_pulls_listing(market, pirated_apk, attacker_key, developer_key):
-    from repro.reporting import ReportServer, TakedownPolicy
-
+def test_server_takedown_pulls_listing(
+    market, pirated_apk, attacker_key, developer_key, attestation
+):
     listing = market.publish("Game (free!)", pirated_apk)
     market.download_batch(listing, 500)
-    server = ReportServer(shards=2, policy=TakedownPolicy(distinct_devices=2))
-    server.register_app("Game", developer_key.public.fingerprint().hex())
     offender = attacker_key.public.fingerprint().hex()
-    for device in ("d1", "d2"):
-        server.ingest_trusted("Game", device_id=device, observed_key_hex=offender)
-    server.process()
+    server = server_with_reports(developer_key, attestation, 2, [offender] * 2)
     pulled = market.process_server_takedowns(server)
     assert pulled == [listing]
     assert listing.taken_down
